@@ -17,6 +17,7 @@ from pathlib import Path
 
 from .config import ConfigError, load_scenario
 from .controllers import verify_clf, ClfSpec
+from .errorbounds import GridBudgetExceeded
 from .pipeline import (build_pipeline, run_certification, run_scenario,
                        run_taylor_table, summarize)
 from .polytope import vertices
@@ -62,11 +63,9 @@ def cmd_enumerate(pipe, out_dir, args):
 def cmd_certify(pipe, out_dir, args):
     try:
         cert = run_certification(pipe, threads=args.threads)
-    except ValueError as e:
-        if "budget" in str(e):
-            print(f"certification budget exceeded: {e}", file=sys.stderr)
-            return EXIT_BUDGET
-        raise
+    except GridBudgetExceeded as e:
+        print(f"certification budget exceeded: {e}", file=sys.stderr)
+        return EXIT_BUDGET
     report = {"plant": pipe.cfg.plant, "grid_certificate": cert.to_json()}
     if pipe.cfg.plant == "aircraft":
         table, lips = run_taylor_table(pipe)

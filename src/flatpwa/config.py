@@ -25,6 +25,15 @@ def _require(cond, path, msg):
         raise ConfigError(f"{path}: {msg}")
 
 
+def _number(raw, path):
+    try:
+        value = float(raw)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{path}: expected a number, got {raw!r}")
+    _require(np.isfinite(value), path, "must be finite")
+    return value
+
+
 def _matrix(raw, path, shape=None):
     try:
         M = np.array(raw, dtype=float)
@@ -139,11 +148,11 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
                  "must be a positive integer")
         cfg.N_p = tun["N_p"]
     if "T_s" in tun:
-        _require(float(tun["T_s"]) > 0, "tuning.T_s", "must be positive")
-        cfg.T_s = float(tun["T_s"])
+        cfg.T_s = _number(tun["T_s"], "tuning.T_s")
+        _require(cfg.T_s > 0, "tuning.T_s", "must be positive")
     if "gamma" in tun:
-        _require(float(tun["gamma"]) > 0, "tuning.gamma", "must be positive")
-        cfg.gamma = float(tun["gamma"])
+        cfg.gamma = _number(tun["gamma"], "tuning.gamma")
+        _require(cfg.gamma > 0, "tuning.gamma", "must be positive")
     if "big_m" in tun:
         bm = tun["big_m"]
         _require(bm == "exact" or (isinstance(bm, (int, float)) and bm > 0),
@@ -154,11 +163,11 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
     if "x0" in sim:
         cfg.x0 = np.atleast_1d(_matrix(sim["x0"], "simulation.x0"))
     if "duration" in sim:
-        _require(float(sim["duration"]) > 0, "simulation.duration", "must be positive")
-        cfg.duration = float(sim["duration"])
+        cfg.duration = _number(sim["duration"], "simulation.duration")
+        _require(cfg.duration > 0, "simulation.duration", "must be positive")
     if "substep" in sim:
-        _require(float(sim["substep"]) > 0, "simulation.substep", "must be positive")
-        cfg.substep = float(sim["substep"])
+        cfg.substep = _number(sim["substep"], "simulation.substep")
+        _require(cfg.substep > 0, "simulation.substep", "must be positive")
     if "on_infeasible" in sim:
         _require(sim["on_infeasible"] in ("raise", "hold"), "simulation.on_infeasible",
                  "must be 'raise' or 'hold'")
@@ -166,6 +175,9 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
 
     cfg.reference = raw.get("reference", {}) or {}
     _require(isinstance(cfg.reference, dict), "reference", "must be a mapping")
+    for key in ("radius", "speed", "start_deg", "end_deg"):
+        if key in cfg.reference:
+            cfg.reference[key] = _number(cfg.reference[key], f"reference.{key}")
 
     bud = raw.get("budgets", {})
     if "max_nodes" in bud:
@@ -173,8 +185,8 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
                  "budgets.max_nodes", "must be a nonnegative integer")
         cfg.max_nodes = bud["max_nodes"]
     if bud.get("max_ms") is not None:
-        _require(float(bud["max_ms"]) > 0, "budgets.max_ms", "must be positive")
-        cfg.max_ms = float(bud["max_ms"])
+        cfg.max_ms = _number(bud["max_ms"], "budgets.max_ms")
+        _require(cfg.max_ms > 0, "budgets.max_ms", "must be positive")
     if bud.get("fallback_max_nodes") is not None:
         _require(isinstance(bud["fallback_max_nodes"], int),
                  "budgets.fallback_max_nodes", "must be an integer")

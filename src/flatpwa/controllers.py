@@ -19,7 +19,7 @@ import numpy as np
 
 from .miencoding import AdmissibleUnion, BigMData, MiqpModel, encode_horizon, encode_point
 from .miqpsolver import MiqpResult, SolveBudget, solve_by_cell_enumeration, solve_miqp
-from .numkernel import OPTIMAL, QpProblem, eig_sym, solve_qp
+from .numkernel import ITERATION_LIMIT, OPTIMAL, QpProblem, eig_sym, solve_qp
 from .polytope import HPolytope
 from .simulate import ControllerInfeasible
 from .tolerances import DEFAULT, Tolerances
@@ -224,6 +224,8 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
                          h=np.concatenate([base.h, cell.polytope.b]),
                          E=base.E, d=base.d, c0=base.c0)
         res = solve_qp(prob, tol=tol)
+        if res.status == ITERATION_LIMIT:
+            raise ControllerInfeasible("FL-MPC cell QP hit its iteration cap")
         if res.status == OPTIMAL and (best is None or res.objective < best[1]):
             best = (res.x, res.objective, j)
     if best is None:

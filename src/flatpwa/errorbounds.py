@@ -27,6 +27,10 @@ from .tolerances import DEFAULT, Tolerances
 GRID_POINT_BUDGET = 50_000_000
 
 
+class GridBudgetExceeded(ValueError):
+    """The certification grid has more points than its budget allows."""
+
+
 @dataclass
 class GridSpec:
     """Uniform grid i * delta per axis, clipped to the workspace box."""
@@ -154,7 +158,7 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     """
     total = grid.num_points
     if total > point_budget:
-        raise ValueError(
+        raise GridBudgetExceeded(
             f"grid has {total} points, over the budget of {point_budget}; "
             "choose coarser steps")
     n_out = d.pieces[0].F.shape[0]

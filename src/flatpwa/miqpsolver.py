@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .miencoding import MiqpModel
-from .numkernel import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
+from .numkernel import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem, solve_qp
 from .tolerances import DEFAULT, Tolerances
 
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -133,8 +133,9 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
 
     ``initial_cells`` (one cell index per step) seeds the incumbent before
     any node is expanded; ``warm_x`` (a full-length candidate, e.g. the
-    previous sample's solution) primes the feasible-start logic. On budget
-    exhaustion the incumbent is returned with status ``budget_exceeded``.
+    previous sample's solution) seeds the node QPs' proximal centre. On
+    budget exhaustion, or when a node QP hits its iteration cap, the
+    incumbent is returned with status ``budget_exceeded``.
     """
     budget = budget or SolveBudget()
     t0 = time.perf_counter()
@@ -147,7 +148,8 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
                               wall_time_s=time.perf_counter() - t0)
         res = solve_qp(prob, tol=tol)
         if res.status != OPTIMAL:
-            return MiqpResult(INFEASIBLE, node_count=1,
+            status = BUDGET_EXCEEDED if res.status == ITERATION_LIMIT else INFEASIBLE
+            return MiqpResult(status, node_count=1,
                               wall_time_s=time.perf_counter() - t0)
         return MiqpResult(OPTIMAL, x=res.x[:model.n_cont], beta=np.zeros(0),
                           objective=res.objective, node_count=1,
@@ -155,17 +157,26 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
 
     incumbent = None
     incumbent_obj = np.inf
+    # a node QP that hits its iteration cap proves nothing about its subtree,
+    # so it is never pruned: the search stops with budget_exceeded
+    stalled = False
+
+    def node_qp(fixed, warm, warm_set=None):
+        nonlocal stalled
+        prob, keep = _node_problem(model, fixed, tol)
+        if prob is None:
+            return None, keep
+        res = solve_qp(prob, x0=None if warm is None else warm[keep],
+                       active_set=warm_set, tol=tol)
+        stalled = stalled or res.status == ITERATION_LIMIT
+        return (res if res.status == OPTIMAL else None), keep
 
     def exact_solve(fix, warm=None):
         fix = _forced_fixes(model, fix)
         if fix is None or len(fix) != model.n_bin:
             return None
-        prob, keep = _node_problem(model, fix, tol)
-        if prob is None:
-            return None
-        res = solve_qp(prob, x0=None if warm is None else warm[keep],
-                       tol=tol)
-        if res.status != OPTIMAL:
+        res, keep = node_qp(fix, warm)
+        if res is None:
             return None
         return _assemble(model, keep, res.x, fix), res.objective
 
@@ -185,12 +196,8 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
         fixed = _forced_fixes(model, fixed)
         if fixed is None:
             return
-        prob, keep = _node_problem(model, fixed, tol)
-        if prob is None:
-            return
-        x0 = None if warm_x is None else warm_x[keep]
-        res = solve_qp(prob, x0=x0, active_set=warm_set, tol=tol)
-        if res.status != OPTIMAL:
+        res, keep = node_qp(fixed, warm_x, warm_set)
+        if res is None:
             return
         if track_bounds and parent_bound is not None:
             bound_pairs.append((parent_bound, res.objective))
@@ -210,7 +217,7 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
     nodes = 0
 
     while heap:
-        if nodes >= budget.max_nodes or (
+        if stalled or nodes >= budget.max_nodes or (
                 budget.max_ms is not None
                 and (time.perf_counter() - t0) * 1e3 > budget.max_ms):
             status = BUDGET_EXCEEDED
@@ -233,7 +240,13 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
             cand = exact_solve(fix_all, warm=xfull)
             if cand is not None and cand[1] < incumbent_obj:
                 incumbent, incumbent_obj = cand
-            continue
+            if stalled or frac.max(initial=0.0) == 0.0 or (
+                    cand is not None and cand[1] <= bound + tol.miqp_gap):
+                continue
+            # the rounded leaf is infeasible, or worse than the node bound,
+            # although the relaxation was within the integrality tolerance:
+            # a big-M row turns that sliver of a binary into real slack, so
+            # the leaf does not close the subtree; branch on it instead
         # most fractional free binary; ties fall to the earlier step via
         # the binary column ordering
         k_star = int(np.argmax(frac))
@@ -243,7 +256,11 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
             child[col] = value
             push(child, xfull, aset, bound)
 
-    best_open = heap[0][0] if heap else np.inf
+    if stalled:
+        status = BUDGET_EXCEEDED
+        best_open = -np.inf      # the stalled subtree has no bound
+    else:
+        best_open = heap[0][0] if heap else np.inf
     gap = 0.0 if incumbent is None else max(0.0, incumbent_obj - min(best_open,
                                                                      incumbent_obj))
     wall = time.perf_counter() - t0
@@ -289,6 +306,9 @@ def solve_by_cell_enumeration(model: MiqpModel, tol: Tolerances = DEFAULT,
             continue
         res = solve_qp(prob, tol=tol)
         solved += 1
+        if res.status == ITERATION_LIMIT:
+            return MiqpResult(BUDGET_EXCEEDED, node_count=solved,
+                              wall_time_s=time.perf_counter() - t0)
         if res.status == OPTIMAL and res.objective < best_obj:
             best_obj = res.objective
             best = _assemble(model, keep, res.x, fix)

@@ -14,14 +14,21 @@ class Tolerances:
     feas: float = 1e-8
     # relative objective accuracy demanded of the LP backend
     lp_opt_rel: float = 1e-8
-    # KKT residual accepted for a QP solution
+    # KKT residual accepted for a QP solution; also the gradient change at
+    # which the QP kernel's proximal passes stop
     qp_kkt: float = 1e-7
     # absolute symmetry defect tolerated in quadratic cost / symmetric inputs
     sym: float = 1e-10
     # smallest eigenvalue >= -psd * ||H|| still counts as positive semidefinite
     psd: float = 1e-8
-    # Tikhonov shift added to H before factorizing KKT systems
-    qp_regularization: float = 1e-10
+    # a unit-norm row whose distance to the span of the QP working rows (and
+    # equality rows) is at most this counts as linearly dependent on them
+    qp_dependence: float = 1e-10
+    # a QP multiplier (unit-norm rows) above this times the largest of
+    # max(1, |H|), |g| and the proximal weight certifies infeasibility
+    qp_dual_cap: float = 1e10
+    # proximal weight on cost-free QP columns, relative to max(1, |H|)
+    qp_prox: float = 1.0
     # duplicate-vertex merge radius (absolute, max-norm)
     vertex_dedupe: float = 1e-7
     # binary variables are accepted as integral within this distance

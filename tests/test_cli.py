@@ -52,6 +52,19 @@ def test_config_error_reports_field_path(tmp_path, capsys):
     assert "tuning.N_p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, text", [
+    ("tuning.T_s", "tuning:\n  T_s: abc\n"),
+    ("simulation.duration", "simulation:\n  duration: [1, 2]\n"),
+    ("budgets.max_ms", "budgets:\n  max_ms: fast\n"),
+    ("reference.radius", "reference:\n  radius: wide\n"),
+])
+def test_non_numeric_config_value_exit_code(tmp_path, capsys, field, text):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("plant: aircraft\n" + text)
+    assert run(["simulate", "--config", bad, "--out", tmp_path]) == 4
+    assert field in capsys.readouterr().err
+
+
 def test_infeasible_exit_code(tmp_path):
     cfg = tmp_path / "infeasible.yaml"
     cfg.write_text(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from flatpwa import numkernel, polytope
 from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step,
                                  mpc_step, verify_clf)
 from flatpwa.miqpsolver import solve_by_cell_enumeration
@@ -84,6 +85,23 @@ def test_clf_step_matches_oracle(clf_spec, aircraft_union, aircraft_bigm,
     assert out.v[0] == pytest.approx(oracle.x[0], abs=1e-5)
 
 
+def test_clf_step_near_integral_relaxation(clf_spec, aircraft_union,
+                                           aircraft_bigm, aircraft_plant):
+    # warm started from cell 0, which is infeasible here, the root relaxation
+    # keeps that cell's binary within the integrality tolerance of 0 (big-M
+    # 5000 turns it into real slack); branch and bound must branch on it,
+    # not drop the node
+    z = np.array([0.19870512717486002, -0.06343216961189396])
+    warm = np.array([-0.48184819089523845, 0.0, 1.0, 1.0])
+    out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
+                   aircraft_plant.B, aircraft_bigm,
+                   input_map=aircraft_plant.input_map, initial_cells=[0],
+                   warm_x=warm)
+    oracle = solve_by_cell_enumeration(out.model)
+    assert out.result.status == "optimal"
+    assert out.result.objective == pytest.approx(oracle.objective, abs=1e-7)
+
+
 def test_clf_argmin_invariance_under_cost_scaling(clf_spec, aircraft_union,
                                                   aircraft_bigm, aircraft_plant):
     rng = np.random.default_rng(23)
@@ -104,6 +122,24 @@ def test_clf_argmin_invariance_under_cost_scaling(clf_spec, aircraft_union,
             assert scaled.v[0] == pytest.approx(base.v[0], abs=1e-6)
         checked += 1
     assert checked >= 80
+
+
+def test_online_steps_make_no_lp_calls(monkeypatch, clf_spec, mpc_spec,
+                                       aircraft_union, aircraft_bigm,
+                                       aircraft_plant):
+    def no_lp(*args, **kwargs):
+        raise AssertionError("solve_lp called on the online path")
+
+    for module in (numkernel, polytope):
+        monkeypatch.setattr(module, "solve_lp", no_lp)
+    clf = clf_step(clf_spec, aircraft_union, np.array([0.2, 0.0]),
+                   aircraft_plant.A, aircraft_plant.B, aircraft_bigm,
+                   input_map=aircraft_plant.input_map)
+    mpc = mpc_step(mpc_spec, aircraft_union, np.array([0.25, 0.0]),
+                   aircraft_bigm)
+    for out in (clf, mpc):
+        assert out.result.status == "optimal" and out.result.node_count >= 1
+    assert mpc.result.node_count > 1    # branch and bound really branched
 
 
 def test_mpc_step_origin(mpc_spec, aircraft_union, aircraft_bigm):

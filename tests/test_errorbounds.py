@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from flatpwa.errorbounds import (GridSpec, grid_error_certificate,
-                                 required_granularity, taylor_cell_bounds)
+from flatpwa.errorbounds import (GridBudgetExceeded, GridSpec,
+                                 grid_error_certificate, required_granularity,
+                                 taylor_cell_bounds)
 from flatpwa.miencoding import build_admissible_union
 from flatpwa.plants.aircraft import (AircraftParams, aircraft_lipschitz,
                                      aircraft_phi, aircraft_phi_grad)
@@ -78,7 +79,7 @@ def test_aircraft_full_certificate(aircraft_net, aircraft_cells):
 
 def test_certificate_budget_guard(aircraft_net, aircraft_cells):
     g = GridSpec.symmetric([1e-5, 1e-5], [PARAMS.phi_bar, PARAMS.v_bar])
-    with pytest.raises(ValueError):
+    with pytest.raises(GridBudgetExceeded):
         grid_error_certificate(aircraft_true, aircraft_cells, aircraft_net, g,
                                30.0)
 

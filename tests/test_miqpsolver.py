@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
-from flatpwa.miencoding import BigMData, build_admissible_union, encode_horizon
+from flatpwa import miqpsolver
+from flatpwa.miencoding import (BigMData, MiqpModel, build_admissible_union,
+                                encode_horizon)
 from flatpwa.miqpsolver import (BUDGET_EXCEEDED, SolveBudget,
                                 solve_by_cell_enumeration, solve_miqp)
-from flatpwa.numkernel import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
+from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem,
+                               solve_qp)
 from flatpwa.polytope import HPolytope
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.simulate import rk4_discretize
@@ -124,3 +127,57 @@ def test_cell_sequence_decoding(aircraft_union, aircraft_bigm, aircraft_plant):
     for i, j in enumerate(seq):
         y = aircraft_plant.input_map @ np.concatenate([zs[i], vs[i]])
         assert aircraft_union.cells[j].polytope.residual(y) <= 1e-7
+
+
+def test_iteration_cap_stops_search_without_pruning(monkeypatch, aircraft_union,
+                                                    aircraft_bigm, aircraft_plant):
+    m = aircraft_model(aircraft_union, aircraft_bigm, aircraft_plant, 3,
+                       [0.2, 0.5])
+    exact = solve_miqp(m)
+    assert exact.status == OPTIMAL and exact.node_count > 1
+    calls = []
+
+    def capped_after_first(prob, **kwargs):
+        # the first QP solves; every later one hits its iteration cap
+        calls.append(1)
+        return solve_qp(prob, **kwargs, max_iter=None if len(calls) == 1 else 1)
+
+    monkeypatch.setattr(miqpsolver, "solve_qp", capped_after_first)
+    res = solve_miqp(m)           # root relaxation solves, children stall
+    assert res.status == BUDGET_EXCEEDED and res.x is None
+    calls.clear()
+    res = solve_miqp(m, initial_cells=exact.cell_sequence(m))
+    assert res.status == BUDGET_EXCEEDED   # hint incumbent kept, tree stalled
+    assert res.objective == pytest.approx(exact.objective, abs=1e-8)
+    assert res.gap == np.inf
+    calls.clear()
+    assert solve_by_cell_enumeration(m).status == BUDGET_EXCEEDED
+    assert solve_qp(QpProblem(H=m.H, g=m.g, G=m.G, h=m.h, E=m.E, d=m.d),
+                    max_iter=1).status == ITERATION_LIMIT
+
+
+def test_near_integral_root_with_worse_feasible_leaf_is_branched():
+    # min (x - 3)^2 over two cells, x <= 1 (binary b1 = 0) or x >= 2 (b2 = 0),
+    # with b1 + b2 = 1 and big-M 1e7. Warm started in cell 0, the relaxation
+    # reaches x = 3 with b1 = 2e-7, inside the integrality tolerance; the
+    # rounded leaf (cell 0, cost 4) is feasible but far above that bound, so
+    # the node must be branched, not closed
+    big_m = 1e7
+    m = MiqpModel(H=np.diag([2.0, 0.0, 0.0]), g=np.array([-6.0, 0.0, 0.0]),
+                  c0=9.0,
+                  G=np.array([[1.0, -big_m, 0.0], [-1.0, 0.0, -big_m],
+                              [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0],
+                              [0.0, 1.0, 0.0], [0.0, -1.0, 0.0],
+                              [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+                  h=np.array([1.0, -2.0, 10.0, 10.0, 1.0, 0.0, 1.0, 0.0]),
+                  E=np.array([[0.0, 1.0, 1.0]]), d=np.array([1.0]),
+                  n_cont=1, n_bin=2, binary_groups=[[1, 2]])
+    root = solve_qp(QpProblem(H=m.H, g=m.g, G=m.G, h=m.h, E=m.E, d=m.d, c0=m.c0),
+                    x0=[1.0, 0.0, 1.0])
+    assert 0.0 < root.x[1] <= 1e-6 and root.objective < 1e-6
+    oracle = solve_by_cell_enumeration(m)
+    assert oracle.objective == pytest.approx(0.0, abs=1e-9)
+    res = solve_miqp(m, initial_cells=[0], warm_x=np.array([1.0, 0.0, 1.0]))
+    assert res.status == OPTIMAL
+    assert res.objective == pytest.approx(oracle.objective, abs=1e-6)
+    assert res.cell_sequence(m) == [1]

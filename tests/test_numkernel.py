@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from flatpwa.numkernel import (INFEASIBLE, OPTIMAL, UNBOUNDED, LpProblem,
-                               QpProblem, eig_sym, solve_lp, solve_qp)
+from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
+                               LpProblem, QpProblem, eig_sym, solve_lp, solve_qp)
 
 
 def duality_gap(p, res):
@@ -142,6 +142,116 @@ def test_qp_matches_lp_when_quadratic_vanishes():
 def test_qp_infeasible_status():
     p = QpProblem(H=[[2.0]], g=[0.0], G=[[1.0], [-1.0]], h=[1.0, -2.0])
     assert solve_qp(p).status == INFEASIBLE
+
+
+def test_qp_iteration_cap_is_a_status():
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    p = QpProblem(H=2.0 * np.eye(2), g=[-4.0, -4.0], G=G, h=np.ones(4))
+    capped = solve_qp(p, max_iter=1)
+    assert capped.status == ITERATION_LIMIT and capped.x is None
+    assert solve_qp(p, max_iter=capped.iterations + 3).status == OPTIMAL
+
+
+def phase_one_violation(p):
+    """Oracle: the smallest achievable largest row violation (HiGHS LP)."""
+    n = p.n
+    G1 = np.hstack([p.G, -np.ones((p.G.shape[0], 1))])
+    E1 = None if p.E is None else np.hstack([p.E, np.zeros((p.E.shape[0], 1))])
+    res = solve_lp(LpProblem(np.r_[np.zeros(n), 1.0], G=G1, h=p.h, E=E1, d=p.d,
+                             bounds=[(None, None)] * n + [(0.0, None)]))
+    return np.inf if res.status == INFEASIBLE else res.x[-1]
+
+
+@settings(max_examples=80, deadline=None)
+# draws that once needed, in turn: the solve on the working set without the
+# proximal term, the step down a flat face, and rounding slack for |lam| ~ 1e7
+@example(seed=143410665, n_cost=3, n_free=2, n_pinned=1, n_rows=2, n_big=3,
+         mode="shifted")
+@example(seed=3199106490, n_cost=1, n_free=2, n_pinned=1, n_rows=1, n_big=1,
+         mode="feasible")
+@example(seed=1875758773, n_cost=4, n_free=3, n_pinned=2, n_rows=7, n_big=1,
+         mode="shifted")
+@given(seed=st.integers(0, 2**32 - 1), n_cost=st.integers(0, 4),
+       n_free=st.integers(0, 3), n_pinned=st.integers(0, 2),
+       n_rows=st.integers(1, 8), n_big=st.integers(0, 3),
+       mode=st.sampled_from(["feasible", "contradiction", "shifted"]))
+def test_qp_property_random_structures(seed, n_cost, n_free, n_pinned, n_rows,
+                                       n_big, mode):
+    # columns: costed | cost-free, boxed in [0, 1] like relaxed binaries |
+    # cost-free, pinned to the costed ones by an equality row
+    rng = np.random.default_rng(seed)
+    n_pinned = n_pinned if n_cost else 0
+    assume(n_cost + n_free > 0)
+    n = n_cost + n_free + n_pinned
+    H = np.zeros((n, n))
+    A = rng.normal(size=(n_cost, n_cost))
+    H[:n_cost, :n_cost] = A @ A.T + 0.1 * np.eye(n_cost)
+    g = np.zeros(n)
+    g[:n_cost + n_free] = rng.normal(size=n_cost + n_free)
+    x_in = np.r_[rng.uniform(-1.0, 1.0, n_cost), rng.uniform(0.0, 1.0, n_free),
+                 np.zeros(n_pinned)]
+    E_rows = []
+    for k in range(n_pinned):
+        row = np.zeros(n)
+        row[:n_cost] = rng.normal(size=n_cost)
+        row[n_cost + n_free + k] = -1.0
+        E_rows.append(row)
+    if n_free > 1 and rng.random() < 0.5:     # cardinality-like row
+        row = np.zeros(n)
+        row[n_cost:n_cost + n_free] = 1.0
+        E_rows.append(row)
+    E = np.array(E_rows) if E_rows else None
+    if n_pinned:
+        x_in[n_cost + n_free:] = E[:n_pinned, :n_cost] @ x_in[:n_cost]
+    d = None if E is None else E @ x_in
+    G = rng.normal(size=(n_rows, n))
+    h = G @ x_in + rng.choice([0.0, 0.3, 1.0], size=n_rows)
+    if mode == "contradiction":
+        G = np.vstack([G, -G[0]])
+        h = np.r_[h, -h[0] - 0.5]
+    elif mode == "shifted":
+        h = h - rng.uniform(0.0, 2.0, size=h.size) * np.linalg.norm(G, axis=1)
+    big = rng.choice(G.shape[0], size=min(n_big, G.shape[0]), replace=False)
+    G[big] *= 5000.0                          # big-M scale rows
+    h[big] *= 5000.0
+    box = np.zeros((2 * n_free, n))
+    box[np.arange(n_free), n_cost + np.arange(n_free)] = 1.0
+    box[n_free + np.arange(n_free), n_cost + np.arange(n_free)] = -1.0
+    G = np.vstack([G, box])
+    h = np.r_[h, np.ones(n_free), np.zeros(n_free)]
+    p = QpProblem(H=H, g=g, G=G, h=h, E=E, d=d)
+
+    violation = phase_one_violation(p)
+    assume(violation <= 1e-9 or violation >= 1e-6)   # skip knife-edge draws
+    res = solve_qp(p)
+    if violation <= 1e-9:
+        assert res.status == OPTIMAL
+        # rounding in lam * slack grows with |lam| |G| |x|
+        rounding = 1e-12 * np.abs(res.ineq_dual).max() * np.abs(G).max() \
+            * max(1.0, np.abs(res.x).max())
+        assert kkt_residual(p, res) <= 1e-6 + rounding
+    else:
+        assert res.status == INFEASIBLE
+
+
+def test_qp_pinned_cost_free_column_takes_one_pass():
+    # x2 carries no cost but the equality pins it to the costed x1 (like an
+    # unweighted terminal state): no proximal term, so a single pass
+    p = QpProblem(H=np.diag([2.0, 0.0]), g=[-2.0, 0.0], E=[[1.0, -1.0]], d=[0.0])
+    res = solve_qp(p)
+    assert res.status == OPTIMAL and res.iterations == 1
+    assert np.allclose(res.x, [1.0, 1.0], atol=1e-12)
+
+
+def test_qp_singular_costed_block():
+    # cost on x1 + x2 only: no column is cost-free, yet H is singular, so the
+    # proximal term goes on every column
+    H = np.array([[2.0, 2.0], [2.0, 2.0]])
+    G = np.vstack([np.eye(2), -np.eye(2)])
+    p = QpProblem(H=H, g=[-1.0, 0.5], G=G, h=np.ones(4))
+    res = solve_qp(p)
+    assert res.status == OPTIMAL
+    assert kkt_residual(p, res) <= 1e-7
 
 
 def test_qp_rejects_indefinite_cost():
