@@ -153,8 +153,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for grid certification")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized property suites")
     parser.add_argument("--budget-ms", type=float, default=None,
                         help="override the per-solve time budget")
     parser.add_argument("--vertices", action="store_true",
@@ -165,8 +163,6 @@ def main(argv=None) -> int:
         cfg = load_scenario(args.config)
         if args.budget_ms is not None:
             cfg.max_ms = args.budget_ms
-        cfg.threads = args.threads
-        cfg.seed = args.seed
         pipe = build_pipeline(cfg)
         return COMMANDS[args.command](pipe, Path(args.out), args)
     except ConfigError as e:

@@ -74,8 +74,6 @@ class ScenarioConfig:
     max_ms: float | None = None
     fallback_max_nodes: int | None = None
     polygon_sides: int = 16
-    threads: int = 1
-    seed: int = 0
     base_dir: Path = Path(".")
 
     def resolve_path(self, name):

@@ -17,7 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .miencoding import AdmissibleUnion, BigMData, MiqpModel, encode_horizon, encode_point
+from .miencoding import (AdmissibleUnion, BigMData, HorizonStructure, MiqpModel,
+                         PointStructure, encode_horizon, encode_point,
+                         horizon_structure, point_structure)
 from .miqpsolver import MiqpResult, SolveBudget, solve_by_cell_enumeration, solve_miqp
 from .numkernel import ITERATION_LIMIT, OPTIMAL, QpProblem, eig_sym, solve_qp
 from .polytope import HPolytope
@@ -73,7 +75,7 @@ class MpcSpec:
         if self.T_s <= 0:
             raise ValueError("T_s must be positive")
         for M, name in ((self.Q, "Q"), (self.R, "R")):
-            if np.abs(M - M.T).max() > 1e-10 * max(1.0, np.abs(M).max()):
+            if np.abs(M - M.T).max() > DEFAULT.sym * max(1.0, np.abs(M).max()):
                 raise ValueError(f"{name} must be symmetric")
 
 
@@ -105,19 +107,26 @@ class ClfStepResult:
 def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, big_m: BigMData,
              input_map=None, budget: SolveBudget | None = None,
              tol: Tolerances = DEFAULT, cost_scale: float = 1.0,
-             initial_cells=None, warm_x=None) -> ClfStepResult:
+             initial_cells=None, warm_x=None,
+             structure: PointStructure | None = None) -> ClfStepResult:
     """Project the desired input onto the stabilizing admissible set.
 
     min ||v - v_d(z)||^2 s.t. (z, v) in the union (big-M rows) and
     2 z'P(Az + Bv) <= -gamma z'P z. Raises ControllerInfeasible when the
-    MIQP is infeasible.
+    MIQP is infeasible. ``structure`` is ``point_structure`` of the same
+    union, big-M data and input map, built once by a controller; without
+    it the rows are encoded from scratch.
     """
     z = np.asarray(z, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_z = z.size
     m = B.shape[1]
-    G, h, E, d, n_bin, groups, labels = encode_point(U, z, big_m, input_map, n_z, m)
+    if structure is None:
+        G, h, E, d, n_bin, groups, labels = encode_point(U, z, big_m, input_map,
+                                                         n_z, m)
+    else:
+        G, h, E, d, n_bin, groups, labels = structure.at(z)
     n = m + n_bin
     clf_row = np.zeros(n)
     clf_row[:m] = 2.0 * B.T @ spec.P @ z
@@ -133,7 +142,9 @@ def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, big_m: BigMData,
                       c0=cost_scale * float(vd @ vd),
                       G=G, h=h, E=E, d=d, n_cont=m, n_bin=n_bin,
                       binary_groups=groups, binary_labels=labels,
-                      meta={"n_z": n_z, "m": m, "N_p": 1, "num_cells": len(U)})
+                      meta={"n_z": n_z, "m": m, "N_p": 1, "num_cells": len(U)},
+                      blocks=None if structure is None
+                      else structure.blocks.with_row(clf_row))
     res = solve_miqp(model, budget=budget, tol=tol, initial_cells=initial_cells,
                      warm_x=warm_x)
     if res.status not in (OPTIMAL, "budget_exceeded") or res.x is None:
@@ -159,15 +170,34 @@ def _split_forecast(model: MiqpModel, x):
     return zs, vs
 
 
+def mpc_structure(spec: MpcSpec, U: AdmissibleUnion | None,
+                  big_m: BigMData | None) -> HorizonStructure:
+    """The sample-independent part of ``spec``'s horizon program, built once
+    per controller; ``U=None`` gives the FL-MPC base without the union."""
+    return horizon_structure(U, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
+                             big_m, **_horizon_rows(spec, U))
+
+
+def _horizon_rows(spec: MpcSpec, U):
+    return {"state_rows": spec.state_rows, "input_rows": spec.input_rows,
+            "input_map": None if U is None else spec.input_map,
+            "terminal_weight": spec.terminal_weight}
+
+
 def mpc_step(spec: MpcSpec, U: AdmissibleUnion, z0, big_m: BigMData,
              z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
-             initial_cells=None, use_oracle=False) -> MpcStepResult:
-    """One receding-horizon solve; returns the first input and the forecast."""
-    model = encode_horizon(U, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
-                           z0, big_m, state_rows=spec.state_rows,
-                           input_map=spec.input_map, z_ref=z_ref, v_ref=v_ref,
-                           input_rows=spec.input_rows,
-                           terminal_weight=spec.terminal_weight)
+             initial_cells=None, use_oracle=False,
+             structure: HorizonStructure | None = None) -> MpcStepResult:
+    """One receding-horizon solve; returns the first input and the forecast.
+
+    ``structure`` is ``mpc_structure(spec, U, big_m)``, built once by a
+    controller; without it the program is encoded from scratch."""
+    if structure is None:
+        model = encode_horizon(U, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
+                               z0, big_m, z_ref=z_ref, v_ref=v_ref,
+                               **_horizon_rows(spec, U))
+    else:
+        model = structure.instantiate(z0, z_ref, v_ref)
     if use_oracle:
         res = solve_by_cell_enumeration(model, tol=tol)
     else:
@@ -193,7 +223,8 @@ class FlmpcStepResult:
 
 
 def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
-               z_ref=None, v_ref=None, tol: Tolerances = DEFAULT) -> FlmpcStepResult:
+               z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
+               structure: HorizonStructure | None = None) -> FlmpcStepResult:
     """FL-MPC baseline: input constrained at step 0 only.
 
     The nonlinear first-input constraint |Phi(z0, v0)| <= u_bar is enforced
@@ -201,13 +232,15 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
     objective wins), which is an inner approximation; the returned input is
     re-checked against the true map by the caller. Later forecast steps only
     carry the state rows, so their implied inputs may violate the true bound
-    -- that is the point of the baseline.
+    -- that is the point of the baseline. ``structure`` is
+    ``mpc_structure(spec, None, None)``, built once by a controller.
     """
-    base = encode_horizon(None, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
-                          z0, None, state_rows=spec.state_rows,
-                          input_map=None, z_ref=z_ref, v_ref=v_ref,
-                          input_rows=spec.input_rows,
-                          terminal_weight=spec.terminal_weight)
+    if structure is None:
+        base = encode_horizon(None, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
+                              z0, z_ref=z_ref, v_ref=v_ref,
+                              **_horizon_rows(spec, None))
+    else:
+        base = structure.instantiate(z0, z_ref, v_ref)
     n_z = base.meta["n_z"]
     m = base.meta["m"]
     zeta_cols = np.concatenate([np.arange(n_z),
@@ -243,12 +276,14 @@ def make_clf_controller(spec: ClfSpec, U, A, B, big_m, input_map=None,
 
     Consecutive samples warm start each other (previous solution and cell)."""
     state = {"x": None, "cells": None}
+    structure = point_structure(U, big_m, input_map, np.shape(A)[0], np.shape(B)[1])
 
     def controller(z, k):
         t0 = time.perf_counter()
         out = clf_step(spec, U, z, A, B, big_m, input_map=input_map,
                        budget=budget, tol=tol,
-                       initial_cells=state["cells"], warm_x=state["x"])
+                       initial_cells=state["cells"], warm_x=state["x"],
+                       structure=structure)
         ms = (time.perf_counter() - t0) * 1e3
         full = np.concatenate([out.result.x, out.result.beta])
         state["x"] = full
@@ -265,6 +300,7 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
     """MPC adapter; ``refs(k)`` returns (z_ref, v_ref) horizon blocks and
     ``ref_cells(k)`` an optional cell-sequence hint for the first solve."""
     last_cells = {"seq": None}
+    structure = mpc_structure(spec, U, big_m)
 
     def controller(z, k):
         z_ref = v_ref = None
@@ -278,7 +314,7 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
         else:
             hint = None
         out = mpc_step(spec, U, z, big_m, z_ref=z_ref, v_ref=v_ref, tol=tol,
-                       initial_cells=hint)
+                       initial_cells=hint, structure=structure)
         ms = (time.perf_counter() - t0) * 1e3
         seq = out.result.cell_sequence(out.model)
         if seq:
@@ -292,12 +328,15 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
 
 def make_flmpc_controller(spec: MpcSpec, U, phi, refs=None,
                           tol: Tolerances = DEFAULT):
+    structure = mpc_structure(spec, None, None)
+
     def controller(z, k):
         z_ref = v_ref = None
         if refs is not None:
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
-        out = flmpc_step(spec, U, phi, z, z_ref=z_ref, v_ref=v_ref, tol=tol)
+        out = flmpc_step(spec, U, phi, z, z_ref=z_ref, v_ref=v_ref, tol=tol,
+                         structure=structure)
         ms = (time.perf_counter() - t0) * 1e3
         return out.v, ms, {"cell": out.cell,
                            "forecast": (out.z_forecast, out.v_forecast)}

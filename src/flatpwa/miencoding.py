@@ -12,11 +12,12 @@ blocks under the discrete dynamics and produce one MIQP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
+from functools import cached_property
 
 import numpy as np
 
-from .polytope import HPolytope, intersect, is_empty, row_violations
+from .polytope import HPolytope, StackedRows, intersect, is_empty, row_violations
 from .relupwa import PwaDecomposition
 from .tolerances import DEFAULT, Tolerances
 
@@ -39,6 +40,11 @@ class AdmissibleUnion:
 
     def __len__(self):
         return len(self.cells)
+
+    @cached_property
+    def stacked(self) -> StackedRows:
+        """Every member's rows in one matrix, for locating points."""
+        return StackedRows.of([c.polytope for c in self.cells])
 
 
 def build_admissible_union(d: PwaDecomposition, u_max, eps, u_min=None,
@@ -117,13 +123,71 @@ def validate_big_m_override(U: AdmissibleUnion, Z_box: HPolytope, value: float,
     return BigMData.uniform(U, value)
 
 
+def _frozen(*arrays):
+    for a in arrays:
+        a.flags.writeable = False
+
+
+@dataclass(frozen=True)
+class ColumnBlocks:
+    """A model's rows split by column type, so that a branch-and-bound node
+    assembles its QP from them without copying G.
+
+    Built once per structure and shared by every model instantiated from it.
+    ``Gc``/``Ec`` are the continuous columns of G/E (contiguous) and ``Eb``
+    the binary columns of E. A row of G carries at most one binary; the
+    nonzero ones are listed as (``bin_row``, ``bin_col``, ``bin_coef``) with
+    ``bin_col`` counted from the first binary. ``g_const``/``e_const`` flag
+    the rows without a continuous coefficient and ``Ec_live`` is Ec without
+    its flagged rows.
+    """
+
+    Gc: np.ndarray
+    Ec: np.ndarray
+    Eb: np.ndarray
+    Ec_live: np.ndarray
+    bin_row: np.ndarray
+    bin_col: np.ndarray
+    bin_coef: np.ndarray
+    g_const: np.ndarray
+    e_const: np.ndarray
+
+    @classmethod
+    def of(cls, G, E, n_cont):
+        Gb = G[:, n_cont:]
+        nonzero = Gb != 0.0
+        rows = np.flatnonzero(nonzero.any(axis=1))
+        if np.count_nonzero(nonzero) > rows.size:
+            raise ValueError("an inequality row carries more than one binary")
+        cols = nonzero[rows].argmax(axis=1) if rows.size else rows
+        Gc = np.ascontiguousarray(G[:, :n_cont])
+        Ec = np.ascontiguousarray(E[:, :n_cont])
+        e_const = ~Ec.any(axis=1)
+        blocks = cls(Gc=Gc, Ec=Ec, Eb=np.ascontiguousarray(E[:, n_cont:]),
+                     Ec_live=Ec[~e_const], bin_row=rows, bin_col=cols,
+                     bin_coef=Gb[rows, cols], g_const=~Gc.any(axis=1),
+                     e_const=e_const)
+        _frozen(*(getattr(blocks, f.name) for f in fields(blocks)))
+        return blocks
+
+    def with_row(self, row):
+        """The blocks once a row without binary coefficient is appended to G."""
+        n_cont = self.Gc.shape[1]
+        if row[n_cont:].any():
+            raise ValueError("an appended row must not carry a binary")
+        return replace(self, Gc=np.concatenate((self.Gc, row[None, :n_cont])),
+                       g_const=np.concatenate((self.g_const, [not row[:n_cont].any()])))
+
+
 @dataclass
 class MiqpModel:
     """Quadratic cost + affine rows over [continuous; binary] variables.
 
     Inequalities G [x; beta] <= h carry at most one binary coefficient per
     row (the -M activation column); equality rows hold the dynamics, the
-    initial condition and one cardinality row per step.
+    initial condition and one cardinality row per step. Binaries carry no
+    cost. Models instantiated from one structure share its read-only H, G,
+    E and ``blocks``; each owns the arrays its sample changes.
     """
 
     H: np.ndarray
@@ -138,6 +202,17 @@ class MiqpModel:
     binary_groups: list = field(default_factory=list)   # per step: binary column idx
     binary_labels: list = field(default_factory=list)   # per binary: (step, cell)
     meta: dict = field(default_factory=dict)
+    blocks: ColumnBlocks | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.g[self.n_cont:].any():
+            raise ValueError("binary variables must carry no cost")
+        if self.blocks is None:
+            # a model instantiated from a structure shares its blocks, and
+            # its H has no binary entries by construction
+            if np.any(self.H[self.n_cont:]):
+                raise ValueError("binary variables must carry no cost")
+            self.blocks = ColumnBlocks.of(self.G, self.E, self.n_cont)
 
     @property
     def n(self):
@@ -161,28 +236,167 @@ def encode_step(U: AdmissibleUnion, big_m: BigMData, zeta_cols, beta_cols,
 
     ``zeta_cols`` are the columns of (z, v) within the full variable vector,
     ``beta_cols`` the per-cell binary columns. With a single cell no binary
-    is needed and the rows are emitted hard.
+    is needed and the rows are emitted hard. This is the one row-block
+    builder: the horizon and point structures place its rows.
     """
     zeta_cols = np.asarray(zeta_cols, dtype=int)
-    rows = []
-    rhs = []
-    for j, cell in enumerate(U.cells):
-        A_z, b_z = _lift_cell_rows(cell, input_map, zeta_cols.size)
-        M = big_m.per_row[j]
-        for r in range(A_z.shape[0]):
-            row = np.zeros(total_vars)
-            row[zeta_cols] = A_z[r]
-            if len(U) > 1:
-                row[beta_cols[j]] = -M[r]
-            rows.append(row)
-            rhs.append(b_z[r])
-    card_row = None
-    card_rhs = None
-    if len(U) > 1:
-        card_row = np.zeros(total_vars)
-        card_row[np.asarray(beta_cols, dtype=int)] = 1.0
-        card_rhs = float(len(U) - 1)
-    return np.array(rows), np.array(rhs), card_row, card_rhs
+    lifted = [_lift_cell_rows(c, input_map, zeta_cols.size) for c in U.cells]
+    rhs = np.concatenate([b for _, b in lifted])
+    rows = np.zeros((rhs.size, total_vars))
+    rows[:, zeta_cols] = np.vstack([a for a, _ in lifted])
+    if len(U) == 1:
+        return rows, rhs, None, None
+    beta_cols = np.asarray(beta_cols, dtype=int)
+    cell = np.repeat(np.arange(len(U)), [b.size for _, b in lifted])
+    rows[np.arange(rhs.size), beta_cols[cell]] = -np.concatenate(big_m.per_row)
+    card_row = np.zeros(total_vars)
+    card_row[beta_cols] = 1.0
+    return rows, rhs, card_row, float(len(U) - 1)
+
+
+def _local_step_rows(U: AdmissibleUnion, big_m: BigMData, input_map, zeta_dim):
+    """``encode_step`` over local columns [zeta; beta] (beta only when the
+    union has more than one member)."""
+    n_local = zeta_dim + (len(U) if len(U) > 1 else 0)
+    cols = np.arange(n_local)
+    rows, rhs, _, _ = encode_step(U, big_m, cols[:zeta_dim], cols[zeta_dim:],
+                                  n_local, input_map)
+    return rows, rhs
+
+
+@dataclass(frozen=True)
+class HorizonStructure:
+    """The part of a receding-horizon MIQP that no sample changes.
+
+    Built once per controller: a template model at z0 = 0 without
+    references, whose arrays (H, G, h, E, d, the node-assembly blocks) are
+    read-only. ``instantiate`` adds what a sample brings: z0 and the
+    references.
+    """
+
+    template: MiqpModel
+    Q: np.ndarray
+    R: np.ndarray
+    P: np.ndarray | None      # terminal weight
+
+    def instantiate(self, z0, z_ref=None, v_ref=None) -> MiqpModel:
+        """The model of one sample: a fresh g, c0 and d, the rest shared."""
+        t = self.template
+        n_z, m, N_p = t.meta["n_z"], t.meta["m"], t.meta["N_p"]
+        z0 = np.asarray(z0, dtype=float)
+        if z0.size != n_z:
+            raise ValueError("z0 dimension mismatch")
+        if z_ref is not None:
+            z_ref = np.atleast_2d(np.asarray(z_ref, dtype=float))
+            if z_ref.shape[0] < N_p:
+                raise ValueError("z_ref horizon shorter than N_p")
+        if v_ref is not None:
+            v_ref = np.atleast_2d(np.asarray(v_ref, dtype=float))
+            if v_ref.shape[0] < N_p:
+                raise ValueError("v_ref horizon shorter than N_p")
+        Q, R = self.Q, self.R
+        n_states = n_z * (N_p + 1)
+        g = np.zeros(t.n)
+        c0 = 0.0
+        for i in range(N_p):
+            zr = np.zeros(n_z) if z_ref is None else z_ref[i]
+            vr = np.zeros(m) if v_ref is None else v_ref[i]
+            g[i * n_z:(i + 1) * n_z] += -2.0 * Q @ zr
+            g[n_states + i * m:n_states + (i + 1) * m] += -2.0 * R @ vr
+            c0 += float(zr @ Q @ zr + vr @ R @ vr)
+        if self.P is not None:
+            zr = np.zeros(n_z) if z_ref is None else z_ref[min(N_p, z_ref.shape[0] - 1)]
+            g[N_p * n_z:n_states] += -2.0 * self.P @ zr
+            c0 += float(zr @ self.P @ zr)
+        d = t.d.copy()
+        d[:n_z] = z0
+        return replace(t, g=g, c0=c0, d=d, meta=dict(t.meta))
+
+
+def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
+                      big_m: BigMData | None = None,
+                      state_rows: HPolytope | None = None, input_map=None,
+                      input_rows: HPolytope | None = None,
+                      terminal_weight=None) -> HorizonStructure:
+    """The sample-independent part of ``encode_horizon``'s MIQP, by block
+    assembly: the same blocks repeat at every step, shifted by the step's
+    columns."""
+    A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
+    B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
+    n_z = A_d.shape[0]
+    m = B_d.shape[1]
+    if N_p < 1:
+        raise ValueError("N_p must be >= 1")
+    if A_d.shape != (n_z, n_z) or B_d.shape != (n_z, m):
+        raise ValueError("A_d/B_d dimension mismatch")
+    Q = np.array(Q, dtype=float, ndmin=2)       # copies: instantiate reads them
+    R = np.array(R, dtype=float, ndmin=2)
+    use_cells = U is not None
+    if use_cells and big_m is None:
+        raise ValueError("big_m data required when a union is supplied")
+    n_cells = len(U) if use_cells else 0
+    use_bin = n_cells > 1
+    n_states = n_z * (N_p + 1)
+    n_cont = n_states + m * N_p
+    n_bin = n_cells * N_p if use_bin else 0
+    n = n_cont + n_bin
+    zc = np.arange(N_p * n_z).reshape(N_p, n_z)              # z_i columns
+    vc = n_states + np.arange(N_p * m).reshape(N_p, m)       # v_i columns
+    bc = n_cont + np.arange(n_bin).reshape(N_p, -1)          # beta_i columns
+
+    H = np.zeros((n, n))
+    H[zc[:, :, None], zc[:, None, :]] += 2.0 * Q
+    H[vc[:, :, None], vc[:, None, :]] += 2.0 * R
+    P = None
+    if terminal_weight is not None:
+        P = np.array(terminal_weight, dtype=float, ndmin=2)
+        zN = np.arange(N_p * n_z, n_states)
+        H[np.ix_(zN, zN)] += 2.0 * P
+
+    # z_0 = z0 and z_{i+1} - A_d z_i - B_d v_i = 0, then one cardinality
+    # row per step
+    E = np.zeros((n_states + (N_p if use_bin else 0), n))
+    E[np.arange(n_states), np.arange(n_states)] = 1.0
+    dyn = n_z + zc
+    E[dyn[:, :, None], zc[:, None, :]] = -A_d
+    E[dyn[:, :, None], vc[:, None, :]] = -B_d
+    d = np.zeros(E.shape[0])
+    if use_bin:
+        E[n_states + np.arange(N_p)[:, None], bc] = 1.0
+        d[n_states:] = float(n_cells - 1)
+
+    # per step: union rows, state rows on z_i, input rows on v_i; then the
+    # box rows 0 <= beta <= 1 (integrality is the solver's concern)
+    parts = []                       # (rows, their columns at each step, rhs)
+    if use_cells:
+        rows, rhs = _local_step_rows(U, big_m, input_map, n_z + m)
+        parts.append((rows, np.hstack([zc, vc, bc]), rhs))
+    if state_rows is not None:
+        parts.append((state_rows.A, zc, state_rows.b))
+    if input_rows is not None:
+        parts.append((input_rows.A, vc, input_rows.b))
+    block = sum(rows.shape[0] for rows, _, _ in parts)
+    G = np.zeros((N_p * block + 2 * n_bin, n))
+    steps = G[:N_p * block].reshape(N_p, block, n)
+    first = 0
+    for rows, cols, _ in parts:
+        at = first + np.arange(rows.shape[0])
+        steps[np.arange(N_p)[:, None, None], at[None, :, None], cols[:, None, :]] = rows
+        first += rows.shape[0]
+    k = np.arange(n_bin)
+    G[N_p * block + 2 * k, n_cont + k] = 1.0
+    G[N_p * block + 2 * k + 1, n_cont + k] = -1.0
+    h_step = np.concatenate([b for _, _, b in parts]) if parts else np.zeros(0)
+    h = np.concatenate([np.tile(h_step, N_p), np.tile([1.0, 0.0], n_bin)])
+
+    g = np.zeros(n)
+    _frozen(H, G, h, E, d, g, Q, R, *(() if P is None else (P,)))
+    template = MiqpModel(
+        H=H, g=g, c0=0.0, G=G, h=h, E=E, d=d, n_cont=n_cont, n_bin=n_bin,
+        binary_groups=bc.tolist() if use_bin else [],
+        binary_labels=[(i, j) for i in range(N_p) for j in range(n_cells)] if use_bin else [],
+        meta={"n_z": n_z, "m": m, "N_p": N_p, "num_cells": n_cells})
+    return HorizonStructure(template=template, Q=Q, R=R, P=P)
 
 
 def encode_horizon(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R, z0,
@@ -198,134 +412,66 @@ def encode_horizon(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R, z0,
     supplied), dynamics equalities, per-step admissible-union big-M groups,
     optional hard state rows on z_i and optional convex rows on v_i.
     ``U=None`` omits the union entirely (the plain-QP base used by FL-MPC).
+    A controller builds the structure once (``horizon_structure``) and
+    instantiates it per sample; this does both for a single sample.
     """
-    A_d = np.atleast_2d(np.asarray(A_d, dtype=float))
-    B_d = np.atleast_2d(np.asarray(B_d, dtype=float))
-    n_z = A_d.shape[0]
-    m = B_d.shape[1]
-    if N_p < 1:
-        raise ValueError("N_p must be >= 1")
-    if A_d.shape != (n_z, n_z) or B_d.shape != (n_z, m):
-        raise ValueError("A_d/B_d dimension mismatch")
-    z0 = np.asarray(z0, dtype=float)
-    if z0.size != n_z:
-        raise ValueError("z0 dimension mismatch")
-    Q = np.atleast_2d(np.asarray(Q, dtype=float))
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    if z_ref is not None:
-        z_ref = np.atleast_2d(np.asarray(z_ref, dtype=float))
-        if z_ref.shape[0] < N_p:
-            raise ValueError("z_ref horizon shorter than N_p")
-    if v_ref is not None:
-        v_ref = np.atleast_2d(np.asarray(v_ref, dtype=float))
-        if v_ref.shape[0] < N_p:
-            raise ValueError("v_ref horizon shorter than N_p")
+    return horizon_structure(U, N_p, A_d, B_d, Q, R, big_m, state_rows=state_rows,
+                             input_map=input_map, input_rows=input_rows,
+                             terminal_weight=terminal_weight
+                             ).instantiate(z0, z_ref, v_ref)
 
-    n_states = n_z * (N_p + 1)
-    n_inputs = m * N_p
-    n_cont = n_states + n_inputs
-    use_cells = U is not None
-    if use_cells and big_m is None:
-        raise ValueError("big_m data required when a union is supplied")
-    use_bin = use_cells and len(U) > 1
-    n_bin = len(U) * N_p if use_bin else 0
-    n = n_cont + n_bin
 
-    def z_cols(i):
-        return np.arange(i * n_z, (i + 1) * n_z)
+@dataclass(frozen=True)
+class PointStructure:
+    """Single-instant membership rows over [v; beta] with z a parameter.
 
-    def v_cols(i):
-        return np.arange(n_states + i * m, n_states + (i + 1) * m)
+    G (z eliminated), E, d and the node-assembly blocks are fixed and
+    read-only; a sample only moves the right-hand side, h = b - A_z z.
+    """
 
-    def beta_cols(i):
-        return [n_cont + i * len(U) + j for j in range(len(U))]
+    G: np.ndarray
+    b: np.ndarray
+    A_z: np.ndarray        # z coefficients of the union rows (the first rows of G)
+    E: np.ndarray
+    d: np.ndarray
+    n_bin: int
+    binary_groups: list
+    binary_labels: list
+    blocks: ColumnBlocks
 
-    H = np.zeros((n, n))
-    g = np.zeros(n)
-    c0 = 0.0
-    for i in range(N_p):
-        zr = np.zeros(n_z) if z_ref is None else z_ref[i]
-        vr = np.zeros(m) if v_ref is None else v_ref[i]
-        zc, vc = z_cols(i), v_cols(i)
-        H[np.ix_(zc, zc)] += 2.0 * Q
-        H[np.ix_(vc, vc)] += 2.0 * R
-        g[zc] += -2.0 * Q @ zr
-        g[vc] += -2.0 * R @ vr
-        c0 += float(zr @ Q @ zr + vr @ R @ vr)
-    if terminal_weight is not None:
-        P = np.atleast_2d(np.asarray(terminal_weight, dtype=float))
-        zc = z_cols(N_p)
-        zr = np.zeros(n_z) if z_ref is None else z_ref[min(N_p, z_ref.shape[0] - 1)]
-        H[np.ix_(zc, zc)] += 2.0 * P
-        g[zc] += -2.0 * P @ zr
-        c0 += float(zr @ P @ zr)
+    def at(self, z):
+        """(G, h, E, d, n_bin, groups, labels) at the state z."""
+        h = self.b.copy()
+        h[:self.A_z.shape[0]] -= self.A_z @ np.asarray(z, dtype=float)
+        return (self.G, h, self.E, self.d, self.n_bin, self.binary_groups,
+                self.binary_labels)
 
-    eq_rows = []
-    eq_rhs = []
-    row = np.zeros((n_z, n))
-    row[:, z_cols(0)] = np.eye(n_z)
-    eq_rows.append(row)
-    eq_rhs.append(z0)
-    for i in range(N_p):
-        row = np.zeros((n_z, n))
-        row[:, z_cols(i + 1)] = np.eye(n_z)
-        row[:, z_cols(i)] = -A_d
-        row[:, v_cols(i)] = -B_d
-        eq_rows.append(row)
-        eq_rhs.append(np.zeros(n_z))
 
-    G_blocks = []
-    h_blocks = []
-    groups = []
-    labels = []
-    zeta_cols_of = lambda i: np.concatenate([z_cols(i), v_cols(i)])
-    for i in range(N_p):
-        if use_cells:
-            bcols = beta_cols(i) if use_bin else []
-            Gs, hs, card, card_rhs = encode_step(U, big_m, zeta_cols_of(i),
-                                                 bcols, n, input_map)
-            G_blocks.append(Gs)
-            h_blocks.append(hs)
-            if card is not None:
-                eq_rows.append(card[None, :])
-                eq_rhs.append(np.array([card_rhs]))
-                groups.append(bcols)
-                labels.extend((i, j) for j in range(len(U)))
-        if state_rows is not None:
-            Sg = np.zeros((state_rows.num_rows, n))
-            Sg[:, z_cols(i)] = state_rows.A
-            G_blocks.append(Sg)
-            h_blocks.append(state_rows.b)
-        if input_rows is not None:
-            Ig = np.zeros((input_rows.num_rows, n))
-            Ig[:, v_cols(i)] = input_rows.A
-            G_blocks.append(Ig)
-            h_blocks.append(input_rows.b)
-    if use_bin:
-        # box rows 0 <= beta <= 1 (integrality is the solver's concern)
-        box = np.zeros((2 * n_bin, n))
-        box_rhs = np.empty(2 * n_bin)
-        for k in range(n_bin):
-            box[2 * k, n_cont + k] = 1.0
-            box_rhs[2 * k] = 1.0
-            box[2 * k + 1, n_cont + k] = -1.0
-            box_rhs[2 * k + 1] = 0.0
-        G_blocks.append(box)
-        h_blocks.append(box_rhs)
-
-    if not G_blocks:
-        G_blocks = [np.zeros((0, n))]
-        h_blocks = [np.zeros(0)]
-    model = MiqpModel(
-        H=H, g=g, c0=c0,
-        G=np.vstack(G_blocks), h=np.concatenate(h_blocks),
-        E=np.vstack(eq_rows), d=np.concatenate(eq_rhs),
-        n_cont=n_cont, n_bin=n_bin,
-        binary_groups=groups, binary_labels=labels,
-        meta={"n_z": n_z, "m": m, "N_p": N_p,
-              "num_cells": len(U) if use_cells else 0},
-    )
-    return model
+def point_structure(U: AdmissibleUnion, big_m: BigMData, input_map, n_z: int,
+                    m: int) -> PointStructure:
+    """The z-independent part of ``encode_point``."""
+    rows, rhs = _local_step_rows(U, big_m, input_map, n_z + m)
+    n_bin = len(U) if len(U) > 1 else 0
+    n = m + n_bin
+    G = np.zeros((rhs.size + 2 * n_bin, n))
+    G[:rhs.size] = rows[:, n_z:]
+    k = np.arange(n_bin)
+    G[rhs.size + 2 * k, m + k] = 1.0
+    G[rhs.size + 2 * k + 1, m + k] = -1.0
+    E = np.zeros((0, n))
+    d = np.zeros(0)
+    if n_bin:
+        E = np.zeros((1, n))
+        E[0, m:] = 1.0
+        d = np.array([float(n_bin - 1)])
+    b = np.concatenate([rhs, np.tile([1.0, 0.0], n_bin)])
+    A_z = np.ascontiguousarray(rows[:, :n_z])
+    blocks = ColumnBlocks.of(G, E, m)
+    _frozen(G, b, A_z, E, d)
+    return PointStructure(G=G, b=b, A_z=A_z, E=E, d=d, n_bin=n_bin,
+                          binary_groups=[list(range(m, n))] if n_bin else [],
+                          binary_labels=[(0, j) for j in range(n_bin)],
+                          blocks=blocks)
 
 
 def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
@@ -335,46 +481,10 @@ def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
     Returns (G, h, E, d, n_bin, groups, labels); rows whose zeta coefficients
     touch only z collapse into constants (infeasible constants surface as
     infeasible rows, which is the honest outcome for states outside the
-    workspace).
+    workspace). A controller builds the structure once
+    (``point_structure``) and evaluates it per sample; this does both.
     """
-    z = np.asarray(z, dtype=float)
-    use_bin = len(U) > 1
-    n_bin = len(U) if use_bin else 0
-    n = m + n_bin
-    rows = []
-    rhs = []
-    for j, cell in enumerate(U.cells):
-        A_z, b_z = _lift_cell_rows(cell, input_map, n_z + m)
-        Av = A_z[:, n_z:]
-        const = A_z[:, :n_z] @ z
-        for r in range(Av.shape[0]):
-            row = np.zeros(n)
-            row[:m] = Av[r]
-            if use_bin:
-                row[m + j] = -big_m.per_row[j][r]
-            rows.append(row)
-            rhs.append(b_z[r] - const[r])
-    E = np.zeros((0, n))
-    d = np.zeros(0)
-    groups = []
-    labels = []
-    if use_bin:
-        card = np.zeros(n)
-        card[m:] = 1.0
-        E = card[None, :]
-        d = np.array([float(len(U) - 1)])
-        groups = [list(range(m, m + n_bin))]
-        labels = [(0, j) for j in range(len(U))]
-        for k in range(n_bin):
-            up = np.zeros(n)
-            up[m + k] = 1.0
-            rows.append(up)
-            rhs.append(1.0)
-            dn = np.zeros(n)
-            dn[m + k] = -1.0
-            rows.append(dn)
-            rhs.append(0.0)
-    return np.array(rows), np.array(rhs), E, d, n_bin, groups, labels
+    return point_structure(U, big_m, input_map, n_z, m).at(z)
 
 
 def export_model_text(model: MiqpModel) -> str:

@@ -56,50 +56,61 @@ class MiqpResult:
 def _node_problem(model: MiqpModel, fixed: dict, tol: Tolerances):
     """QP over [x; free binaries] with fixed binaries substituted out.
 
-    Rows are kept in place (vacuous ones become zero rows) so that
-    active-set row indices stay valid across the whole tree. Returns None
-    when a constant row is already violated.
+    Assembled from ``model.blocks``: a fixed binary moves the right-hand
+    side of its one row, and with every binary fixed G, E and H are the
+    continuous blocks themselves, uncopied. Rows are kept in place (vacuous
+    ones become zero rows) so that active-set row indices stay valid across
+    the whole tree. Returns (None, keep) when a constant row is already
+    violated.
     """
-    n = model.n
-    keep = [i for i in range(n) if i < model.n_cont or i not in fixed]
-    fixed_cols = sorted(fixed)
-    vals = np.array([fixed[c] for c in fixed_cols])
-    G = model.G[:, keep]
+    blocks = model.blocks
+    nc = model.n_cont
+    value = np.zeros(model.n_bin)
+    is_free = np.ones(model.n_bin, dtype=bool)
+    if fixed:
+        cols = np.fromiter(fixed, int, len(fixed)) - nc
+        value[cols] = np.fromiter(fixed.values(), float, len(fixed))
+        is_free[cols] = False
+    free = np.flatnonzero(is_free)
+    keep = np.concatenate([np.arange(nc), nc + free])
+
+    row_free = is_free[blocks.bin_col]
+    moved = ~row_free
     h = model.h.copy()
-    if fixed_cols:
-        h = h - model.G[:, fixed_cols] @ vals
-    zero_rows = np.abs(G).max(axis=1) == 0.0
-    if np.any(h[zero_rows] < -tol.feas):
+    h[blocks.bin_row[moved]] -= blocks.bin_coef[moved] * value[blocks.bin_col[moved]]
+    const = blocks.g_const.copy()
+    const[blocks.bin_row[row_free]] = False
+    if (h[const] < -tol.feas).any():
         return None, keep
-    h = h.copy()
-    h[zero_rows] = np.maximum(h[zero_rows], 0.0)
-    E = model.E[:, keep]
-    d = model.d.copy()
-    if fixed_cols:
-        d = d - model.E[:, fixed_cols] @ vals
-    ezero = np.abs(E).max(axis=1) == 0.0
-    if np.any(np.abs(d[ezero]) > tol.feas):
+    h[const] = np.maximum(h[const], 0.0)
+
+    d = model.d - blocks.Eb @ value
+    if free.size:
+        E_free = blocks.Eb[:, free]
+        const = blocks.e_const & ~E_free.any(axis=1)
+    else:
+        const = blocks.e_const
+    if (np.abs(d[const]) > tol.feas).any():
         return None, keep
-    if np.any(ezero):
-        E = E[~ezero]
-        d = d[~ezero]
-    H = model.H[np.ix_(keep, keep)]
-    g = model.g[keep].copy()
-    c0 = model.c0
-    if fixed_cols:
-        g = g + model.H[np.ix_(keep, fixed_cols)] @ vals
-        c0 = c0 + 0.5 * vals @ model.H[np.ix_(fixed_cols, fixed_cols)] @ vals \
-            + model.g[fixed_cols] @ vals
+    d = d[~const]
+    if free.size:
+        E = np.hstack([blocks.Ec, E_free])[~const]
+        G = np.hstack([blocks.Gc, model.G[:, nc + free]])
+        H = np.zeros((keep.size, keep.size))
+        H[:nc, :nc] = model.H[:nc, :nc]
+        g = np.concatenate([model.g[:nc], np.zeros(free.size)])
+    else:
+        E, G, H, g = blocks.Ec_live, blocks.Gc, model.H[:nc, :nc], model.g[:nc]
     prob = QpProblem(H=H, g=g, G=G, h=h, E=E if E.shape[0] else None,
-                     d=d if E.shape[0] else None, c0=c0, tol=tol)
+                     d=d if E.shape[0] else None, c0=model.c0, tol=tol)
     return prob, keep
 
 
 def _assemble(model: MiqpModel, keep, x_free, fixed):
     full = np.empty(model.n)
     full[keep] = x_free
-    for c, v in fixed.items():
-        full[c] = v
+    full[np.fromiter(fixed, int, len(fixed))] = np.fromiter(fixed.values(), float,
+                                                            len(fixed))
     return full
 
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import plants
-from .config import ScenarioConfig
+from .config import ConfigError, ScenarioConfig
 from .controllers import (ClfSpec, MpcSpec, make_clf_controller,
                           make_flmpc_controller, make_mpc_controller)
 from .errorbounds import GridSpec, grid_error_certificate, taylor_cell_bounds
@@ -64,8 +64,8 @@ class Pipeline:
                 # only the speed channel runs through the network
                 u_max, u_min = u_max[:1], u_min[:1]
                 eps = eps[:1]
-            self.union = build_admissible_union(self.ensure_cells(), u_max,
-                                                eps, u_min=u_min)
+            self.union = _tightened_union(self.ensure_cells(), u_max, eps,
+                                          u_min=u_min)
         return self.union
 
     def ensure_big_m(self):
@@ -77,6 +77,15 @@ class Pipeline:
                 self.big_m = validate_big_m_override(U, self.workspace,
                                                      float(self.cfg.big_m))
         return self.big_m
+
+
+def _tightened_union(cells, u_max, eps, u_min=None):
+    """``build_admissible_union``; a tightening that leaves nothing
+    admissible is a configuration error."""
+    try:
+        return build_admissible_union(cells, u_max, eps, u_min=u_min)
+    except ValueError as e:
+        raise ConfigError(f"tightening.eps: {e}") from None
 
 
 def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
@@ -148,7 +157,7 @@ def run_taylor_table(pipe: Pipeline):
     lips = aircraft_mod.aircraft_lipschitz(params)
     u_max = cfg.taylor_u_max if cfg.taylor_u_max is not None else np.array([4.0])
     eps = cfg.eps if cfg.eps is not None else DEFAULT_EPS["aircraft"]
-    union = build_admissible_union(pipe.ensure_cells(), u_max, eps)
+    union = _tightened_union(pipe.ensure_cells(), u_max, eps)
 
     def phi(zeta):
         return aircraft_mod.aircraft_phi(zeta[0], zeta[1], params)
@@ -216,9 +225,9 @@ def build_controller(pipe: Pipeline):
                     np.array([v_ref(k + i) for i in range(cfg.N_p)]))
 
         def ref_cells(k):
-            return [locate_cell(U, plant.input_map
-                                @ np.concatenate([z_ref(k + i), v_ref(k + i)]))
-                    for i in range(cfg.N_p)]
+            zeta = np.array([np.concatenate([z_ref(k + i), v_ref(k + i)])
+                             for i in range(cfg.N_p)])
+            return locate_cell(U, zeta @ plant.input_map.T).tolist()
     elif cfg.plant == "pmsm" and cfg.reference.get("type", "equilibrium") \
             == "equilibrium":
         z_eq = plant.equilibrium_z

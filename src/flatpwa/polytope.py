@@ -69,6 +69,34 @@ class HPolytope:
         return float(np.max(self.A @ np.asarray(x, dtype=float) - self.b))
 
 
+@dataclass(frozen=True)
+class StackedRows:
+    """The rows of several polytopes in one matrix, so that a point is
+    scanned against all of them at once."""
+
+    A: np.ndarray
+    b: np.ndarray
+    starts: np.ndarray     # first row of each polytope
+
+    @classmethod
+    def of(cls, polytopes):
+        counts = [P.num_rows for P in polytopes]
+        return cls(A=np.vstack([P.A for P in polytopes]),
+                   b=np.concatenate([P.b for P in polytopes]),
+                   starts=np.cumsum([0] + counts[:-1]))
+
+    def locate(self, y, tol_feas):
+        """Index of the first polytope with the smallest max-residual at y,
+        or -1 when that residual exceeds ``tol_feas``. For an (N, dim) batch
+        of points, an array of N indices."""
+        y = np.asarray(y, dtype=float)
+        worst = np.maximum.reduceat(y @ self.A.T - self.b, self.starts, axis=-1)
+        j = worst.argmin(axis=-1)
+        if y.ndim == 1:
+            return int(j) if worst[j] <= tol_feas else -1
+        return np.where(worst[np.arange(j.size), j] <= tol_feas, j, -1)
+
+
 @dataclass
 class VertexSet:
     """Vertices of a polytope plus the row subsets that generated them."""

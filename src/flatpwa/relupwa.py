@@ -17,11 +17,12 @@ import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .polytope import HPolytope, intersect, is_empty
+from .polytope import HPolytope, StackedRows, intersect, is_empty
 from .tolerances import DEFAULT, Tolerances
 
 ENUMERATION_WIDTH_GUARD = 25
@@ -128,6 +129,11 @@ class PwaDecomposition:
     workspace: HPolytope
     pieces: list
 
+    @cached_property
+    def stacked(self) -> StackedRows:
+        """Every piece's rows in one matrix, for locating points."""
+        return StackedRows.of([p.polytope for p in self.pieces])
+
     @property
     def patterns(self):
         return [tuple(int(a) for a in p.alpha) for p in self.pieces]
@@ -229,16 +235,10 @@ def pwa_eval(d: PwaDecomposition, y0, tol: Tolerances = DEFAULT):
     containing piece gives the same value up to rounding).
     """
     y0 = np.asarray(y0, dtype=float)
-    best = None
-    best_resid = np.inf
-    for piece in d.pieces:
-        r = piece.polytope.residual(y0)
-        if r < best_resid:
-            best_resid = r
-            best = piece
-    if best is None or best_resid > tol.feas:
+    j = d.stacked.locate(y0, tol.feas) if d.pieces else -1
+    if j < 0:
         raise ValueError("point lies outside every cell (outside the workspace)")
-    return best.F @ y0 + best.f
+    return d.pieces[j].F @ y0 + d.pieces[j].f
 
 
 def pwa_eval_batch(d: PwaDecomposition, net: ReluNetwork, pts):

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import DEFAULT, Tolerances
+
 
 def rk4_step(f, x, u, h):
     k1 = f(x, u)
@@ -92,17 +94,11 @@ class ClosedLoopResult:
         return self.records[-1].z if self.records else None
 
 
-def locate_cell(union, y, tol_feas=1e-8):
+def locate_cell(union, y, tol: Tolerances = DEFAULT):
     """Index of the admissible-union member containing the network input y,
-    smallest max-residual wins; -1 when outside all members."""
-    best = -1
-    best_r = np.inf
-    for j, c in enumerate(union.cells):
-        r = c.polytope.residual(y)
-        if r < best_r:
-            best_r = r
-            best = j
-    return best if best_r <= tol_feas else -1
+    the first of the smallest max-residual winning; -1 when outside all
+    members. An (N, dim) batch of inputs gives an array of N indices."""
+    return union.stacked.locate(y, tol.feas)
 
 
 def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,

@@ -1,0 +1,51 @@
+"""The benchmark's span tracer (``bench/tracer.py``) rebinds flatpwa
+functions by name at the modules that import them. A refactor that drops
+or stops calling through one of those names breaks ``bench/run.py --trace 1``
+(an ``AttributeError``) or silently empties its layer; these tests catch
+that in the regular suite."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from flatpwa.config import load_scenario
+from flatpwa.pipeline import build_controller, build_pipeline
+
+ROOT = Path(__file__).parents[1]
+
+
+def _tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer",
+                                                  ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _bindings(layers):
+    return {(mod.__name__, name.rsplit(".", 1)[1]): getattr(mod, name.rsplit(".", 1)[1])
+            for name, modules in layers.items() for mod in modules}
+
+
+def test_traced_names_are_module_attributes():
+    tracer = _tracer()
+    for name, modules in tracer.LAYERS.items():
+        attr = name.rsplit(".", 1)[1]
+        for mod in modules:
+            assert callable(getattr(mod, attr, None)), \
+                f"{name}: {mod.__name__} has no {attr}"
+
+
+def test_tracer_sees_the_online_layers_and_restores_them():
+    tracer = _tracer()
+    before = _bindings(tracer.LAYERS)
+    scenario = ROOT / "src" / "flatpwa" / "data" / "scenarios" / "aircraft_mpc.yaml"
+    pipe = build_pipeline(load_scenario(scenario))
+    with tracer.Tracer().active() as tr:
+        ctl, x0, _ = build_controller(pipe)
+        ctl(pipe.plant.to_flat(np.asarray(x0)), 0)
+    assert _bindings(tracer.LAYERS) == before
+    for name in ("controllers.mpc_step", "miqpsolver.solve_miqp",
+                 "numkernel.solve_qp", "numkernel.QpProblem"):
+        assert tr.layers[name].calls >= 1, name

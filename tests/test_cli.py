@@ -65,6 +65,17 @@ def test_non_numeric_config_value_exit_code(tmp_path, capsys, field, text):
     assert field in capsys.readouterr().err
 
 
+def test_oversized_eps_exit_code(tmp_path, capsys):
+    # an eps that empties the tightened output range is a configuration
+    # error (exit 4 with the field's path), not a traceback
+    raw = (SCENARIOS / "aircraft_mpc.yaml").read_text()
+    assert "eps: [0.1897]" in raw
+    cfg = tmp_path / "eps.yaml"
+    cfg.write_text(raw.replace("eps: [0.1897]", "eps: [9.0]"))
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 4
+    assert "tightening.eps" in capsys.readouterr().err
+
+
 def test_infeasible_exit_code(tmp_path):
     cfg = tmp_path / "infeasible.yaml"
     cfg.write_text(

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
-                               LpProblem, QpProblem, eig_sym, solve_lp, solve_qp)
+                               LpProblem, QpProblem, _cost_factors, _DualActiveSet,
+                               eig_sym, solve_lp, solve_qp)
+from flatpwa.tolerances import DEFAULT
 
 
 def duality_gap(p, res):
@@ -271,6 +273,22 @@ def test_qp_warm_start_from_parent_active_set():
                     active_set=cold.active_set)
     assert warm.status == OPTIMAL
     assert warm.iterations <= cold.iterations + 2
+
+
+def test_qp_dependence_threshold():
+    # Tolerances.qp_dependence: a unit row whose distance to the span of the
+    # working rows is at most this counts as dependent (it would otherwise
+    # enter with a step of 1/distance^2); one just above it is independent
+    tol = DEFAULT
+    G = np.array([[1.0, 0.0],
+                  [1.0, 0.1 * tol.qp_dependence],
+                  [1.0, 10.0 * tol.qp_dependence]])
+    Z, _, _, _, _, _, J = _cost_factors(np.eye(2).tobytes(), b"", 2, tol)
+    gi = _DualActiveSet(G, np.ones(3), J, Z, tol.qp_dual_cap, tol)
+    gi.seed([0], np.array([2.0, 0.0]))
+    assert gi.work == [0]
+    assert gi._independent(1) is None
+    assert np.allclose(np.abs(gi._independent(2)), [0.0, 1.0])
 
 
 def test_eig_identity():

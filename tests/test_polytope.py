@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from flatpwa.miencoding import build_admissible_union
-from flatpwa.polytope import (HPolytope, chebyshev_center, find_point, intersect,
-                              is_empty, max_row_violation, min_enclosing_l1_ball,
-                              vertices)
+from flatpwa.polytope import (HPolytope, StackedRows, chebyshev_center, find_point,
+                              intersect, is_empty, max_row_violation,
+                              min_enclosing_l1_ball, vertices)
 
 
 def unit_box(d=2):
@@ -181,3 +181,30 @@ def test_chebyshev_center_inside():
     c, r = chebyshev_center(P)
     assert P.contains(c)
     assert r == pytest.approx(1.0, abs=1e-8)
+
+
+def test_stacked_rows_locate_tie_rule_and_reference(uav_cells):
+    # two boxes sharing the facet x = 1 and a third far away: on the facet
+    # both residuals are exactly 0 and the first box wins
+    S = StackedRows.of([HPolytope.box([0.0, 0.0], [1.0, 1.0]),
+                        HPolytope.box([1.0, 0.0], [2.0, 1.0]),
+                        HPolytope.box([5.0, 5.0], [6.0, 6.0])])
+    assert S.locate([1.0, 0.5], 1e-8) == 0
+    assert S.locate([1.5, 0.5], 1e-8) == 1
+    assert S.locate([3.0, 3.0], 1e-8) == -1
+    assert list(S.locate([[1.0, 0.5], [1.5, 0.5], [3.0, 3.0]], 1e-8)) == [0, 1, -1]
+
+    def first_smallest(polytopes, y, tol_feas=1e-8):
+        best, best_r = -1, np.inf
+        for j, P in enumerate(polytopes):
+            r = P.residual(y)
+            if r < best_r:
+                best, best_r = j, r
+        return best if best_r <= tol_feas else -1
+
+    polys = [p.polytope for p in uav_cells.pieces]
+    rng = np.random.default_rng(4)
+    pts = rng.uniform(0.0, 24.0, size=(300, 2))     # the workspace is [3, 21]^2
+    batch = uav_cells.stacked.locate(pts, 1e-8)
+    for y, j in zip(pts, batch):
+        assert uav_cells.stacked.locate(y, 1e-8) == first_smallest(polys, y) == j
