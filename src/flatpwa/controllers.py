@@ -1,7 +1,7 @@
 """Online controllers over the linearized dynamics.
 
 * CLF projection: minimal deviation from a desired input subject to the
-  admissible union (big-M rows) and a quadratic-Lyapunov decrease row.
+  admissible union and a quadratic-Lyapunov decrease row, one QP per cell.
 * MI-constrained MPC: receding-horizon MIQP whose every predicted pair
   (z(k|i), v(k|i)) is kept inside the admissible union.
 * FL-MPC baseline: state rows over the horizon but the input constraint
@@ -18,9 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .miencoding import (AdmissibleUnion, BigMData, HorizonStructure, MiqpModel,
-                         PointStructure, encode_horizon, encode_point,
-                         horizon_structure, point_structure)
-from .miqpsolver import MiqpResult, SolveBudget, solve_by_cell_enumeration, solve_miqp
+                         encode_horizon, horizon_structure)
+# not called here: the benchmark's tracer rebinds this name in this module
+from .miencoding import encode_point  # noqa: F401
+from .miqpsolver import MiqpResult, SolveBudget, solve_miqp
 from .numkernel import ITERATION_LIMIT, OPTIMAL, QpProblem, eig_sym, solve_qp
 from .polytope import HPolytope
 from .simulate import ControllerInfeasible
@@ -100,56 +101,76 @@ def verify_clf(spec: ClfSpec, A, B, tol: Tolerances = DEFAULT) -> dict:
 @dataclass
 class ClfStepResult:
     v: np.ndarray
-    result: MiqpResult
-    model: MiqpModel
+    objective: float
+    cell: int
 
 
-def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, big_m: BigMData,
-             input_map=None, budget: SolveBudget | None = None,
+def _best_cell(order, cell_problem, tol: Tolerances):
+    """One QP per admissible cell, tried in ``order``; returns (QpResult,
+    cell) of the lowest objective, ties going to the earlier cell, or None
+    when every cell is infeasible.
+
+    Over one instant the union's disjunction is exactly "solve each member,
+    keep the best". The costs here are sums of squares, so the loop stops at
+    the first objective <= ``tol.miqp_gap``: no cell beats it by more than
+    the absolute gap branch and bound certifies. ``solve_qp`` and
+    ``QpProblem`` are looked up as module globals at call time, so that a
+    rebinding of either reaches this loop.
+    """
+    best = None
+    for j in order:
+        res = solve_qp(cell_problem(j), tol=tol)
+        if res.status == ITERATION_LIMIT:
+            raise ControllerInfeasible("a cell QP hit its iteration cap")
+        if res.status == OPTIMAL and (best is None or res.objective < best[0].objective):
+            best = (res, j)
+            if res.objective <= tol.miqp_gap:
+                break
+    return best
+
+
+def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
              tol: Tolerances = DEFAULT, cost_scale: float = 1.0,
-             initial_cells=None, warm_x=None,
-             structure: PointStructure | None = None) -> ClfStepResult:
+             first_cell: int | None = None) -> ClfStepResult:
     """Project the desired input onto the stabilizing admissible set.
 
-    min ||v - v_d(z)||^2 s.t. (z, v) in the union (big-M rows) and
-    2 z'P(Az + Bv) <= -gamma z'P z. Raises ControllerInfeasible when the
-    MIQP is infeasible. ``structure`` is ``point_structure`` of the same
-    union, big-M data and input map, built once by a controller; without
-    it the rows are encoded from scratch.
+    min ||v - v_d(z)||^2 s.t. (z, v) in the union and
+    2 z'P(Az + Bv) <= -gamma z'P z, solved as one QP over v per cell: that
+    cell's rows with z substituted, plus the decrease row. ``first_cell``
+    (the previous sample's cell) is tried first, then the others in index
+    order. Raises ControllerInfeasible when no cell is feasible.
     """
     z = np.asarray(z, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_z = z.size
     m = B.shape[1]
-    if structure is None:
-        G, h, E, d, n_bin, groups, labels = encode_point(U, z, big_m, input_map,
-                                                         n_z, m)
-    else:
-        G, h, E, d, n_bin, groups, labels = structure.at(z)
-    n = m + n_bin
-    clf_row = np.zeros(n)
-    clf_row[:m] = 2.0 * B.T @ spec.P @ z
+    S = np.eye(n_z + m) if input_map is None else np.asarray(input_map, dtype=float)
+    rows = U.stacked
+    lifted = rows.A @ S
+    h = rows.b - np.ascontiguousarray(lifted[:, :n_z]) @ z
+    G = lifted[:, n_z:]
+    ends = np.append(rows.starts[1:], rows.b.size)
+    clf_row = 2.0 * B.T @ spec.P @ z
     clf_rhs = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ A @ z)
-    G = np.vstack([G, clf_row[None, :]])
-    h = np.concatenate([h, [clf_rhs]])
     vd = spec.v_d(z)
-    H = np.zeros((n, n))
-    H[:m, :m] = 2.0 * np.eye(m)
-    g = np.zeros(n)
-    g[:m] = -2.0 * vd
-    model = MiqpModel(H=cost_scale * H, g=cost_scale * g,
-                      c0=cost_scale * float(vd @ vd),
-                      G=G, h=h, E=E, d=d, n_cont=m, n_bin=n_bin,
-                      binary_groups=groups, binary_labels=labels,
-                      meta={"n_z": n_z, "m": m, "N_p": 1, "num_cells": len(U)},
-                      blocks=None if structure is None
-                      else structure.blocks.with_row(clf_row))
-    res = solve_miqp(model, budget=budget, tol=tol, initial_cells=initial_cells,
-                     warm_x=warm_x)
-    if res.status not in (OPTIMAL, "budget_exceeded") or res.x is None:
+    H = cost_scale * (2.0 * np.eye(m))
+    g = cost_scale * (-2.0 * vd)
+    c0 = cost_scale * float(vd @ vd)
+
+    def cell_problem(j):
+        cell = slice(rows.starts[j], ends[j])
+        return QpProblem(H=H, g=g, G=np.vstack([G[cell], clf_row]),
+                         h=np.append(h[cell], clf_rhs), c0=c0, tol=tol)
+
+    order = list(range(len(U)))
+    if first_cell is not None:
+        order.insert(0, order.pop(first_cell))
+    best = _best_cell(order, cell_problem, tol)
+    if best is None:
         raise ControllerInfeasible("CLF projection program is infeasible")
-    return ClfStepResult(v=res.x[:m], result=res, model=model)
+    res, j = best
+    return ClfStepResult(v=res.x, objective=res.objective, cell=j)
 
 
 @dataclass
@@ -186,7 +207,7 @@ def _horizon_rows(spec: MpcSpec, U):
 
 def mpc_step(spec: MpcSpec, U: AdmissibleUnion, z0, big_m: BigMData,
              z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
-             initial_cells=None, use_oracle=False,
+             initial_cells=None,
              structure: HorizonStructure | None = None) -> MpcStepResult:
     """One receding-horizon solve; returns the first input and the forecast.
 
@@ -198,13 +219,10 @@ def mpc_step(spec: MpcSpec, U: AdmissibleUnion, z0, big_m: BigMData,
                                **_horizon_rows(spec, U))
     else:
         model = structure.instantiate(z0, z_ref, v_ref)
-    if use_oracle:
-        res = solve_by_cell_enumeration(model, tol=tol)
-    else:
-        res = solve_miqp(model, budget=spec.budget, tol=tol,
-                         initial_cells=initial_cells)
-        if res.x is None and spec.fallback_budget is not None:
-            res = solve_miqp(model, budget=spec.fallback_budget, tol=tol)
+    res = solve_miqp(model, budget=spec.budget, tol=tol,
+                     initial_cells=initial_cells)
+    if res.x is None and spec.fallback_budget is not None:
+        res = solve_miqp(model, budget=spec.fallback_budget, tol=tol)
     if res.x is None:
         raise ControllerInfeasible("MPC program is infeasible")
     zs, vs = _split_forecast(model, res.x)
@@ -228,8 +246,8 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
     """FL-MPC baseline: input constrained at step 0 only.
 
     The nonlinear first-input constraint |Phi(z0, v0)| <= u_bar is enforced
-    through the tightened union restricted to step 0 (one QP per cell, best
-    objective wins), which is an inner approximation; the returned input is
+    through the tightened union restricted to step 0 (one QP per cell, as
+    for the CLF), which is an inner approximation; the returned input is
     re-checked against the true map by the caller. Later forecast steps only
     carry the state rows, so their implied inputs may violate the true bound
     -- that is the point of the baseline. ``structure`` is
@@ -247,56 +265,45 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
                                 np.arange(n_z * (spec.N_p + 1),
                                           n_z * (spec.N_p + 1) + m)])
     S = np.eye(n_z + m) if spec.input_map is None else spec.input_map
-    best = None
-    for j, cell in enumerate(U.cells):
-        A_lift = cell.polytope.A @ S
-        rows = np.zeros((A_lift.shape[0], base.n_cont))
-        rows[:, zeta_cols] = A_lift
-        prob = QpProblem(H=base.H, g=base.g,
-                         G=np.vstack([base.G, rows]),
-                         h=np.concatenate([base.h, cell.polytope.b]),
+
+    def cell_problem(j):
+        cell = U.cells[j].polytope
+        rows = np.zeros((cell.num_rows, base.n_cont))
+        rows[:, zeta_cols] = cell.A @ S
+        return QpProblem(H=base.H, g=base.g, G=np.vstack([base.G, rows]),
+                         h=np.concatenate([base.h, cell.b]),
                          E=base.E, d=base.d, c0=base.c0)
-        res = solve_qp(prob, tol=tol)
-        if res.status == ITERATION_LIMIT:
-            raise ControllerInfeasible("FL-MPC cell QP hit its iteration cap")
-        if res.status == OPTIMAL and (best is None or res.objective < best[1]):
-            best = (res.x, res.objective, j)
+
+    best = _best_cell(range(len(U)), cell_problem, tol)
     if best is None:
         raise ControllerInfeasible("FL-MPC first-step program is infeasible")
-    x, obj, j = best
-    zs, vs = _split_forecast(base, x)
+    res, j = best
+    zs, vs = _split_forecast(base, res.x)
     first_u = np.atleast_1d(phi(np.asarray(z0, dtype=float), vs[0]))
     return FlmpcStepResult(v=vs[0], z_forecast=zs, v_forecast=vs, cell=j,
-                           objective=obj, first_input_value=first_u)
+                           objective=res.objective, first_input_value=first_u)
 
 
-def make_clf_controller(spec: ClfSpec, U, A, B, big_m, input_map=None,
-                        budget=None, tol: Tolerances = DEFAULT):
+def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None,
+                        tol: Tolerances = DEFAULT):
     """Adapter for the closed-loop runner: (z, k) -> (v, solver_ms, info).
 
-    Consecutive samples warm start each other (previous solution and cell)."""
-    state = {"x": None, "cells": None}
-    structure = point_structure(U, big_m, input_map, np.shape(A)[0], np.shape(B)[1])
+    Each sample tries the previous sample's cell first."""
+    state = {"cell": None}
 
     def controller(z, k):
         t0 = time.perf_counter()
-        out = clf_step(spec, U, z, A, B, big_m, input_map=input_map,
-                       budget=budget, tol=tol,
-                       initial_cells=state["cells"], warm_x=state["x"],
-                       structure=structure)
+        out = clf_step(spec, U, z, A, B, input_map=input_map, tol=tol,
+                       first_cell=state["cell"])
         ms = (time.perf_counter() - t0) * 1e3
-        full = np.concatenate([out.result.x, out.result.beta])
-        state["x"] = full
-        seq = out.result.cell_sequence(out.model)
-        state["cells"] = seq if seq else None
-        return out.v, ms, {"nodes": out.result.node_count}
+        state["cell"] = out.cell
+        return out.v, ms, {"cell": out.cell}
 
     return controller
 
 
 def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
-                        tol: Tolerances = DEFAULT, warm_cells=True,
-                        ref_cells=None):
+                        tol: Tolerances = DEFAULT, ref_cells=None):
     """MPC adapter; ``refs(k)`` returns (z_ref, v_ref) horizon blocks and
     ``ref_cells(k)`` an optional cell-sequence hint for the first solve."""
     last_cells = {"seq": None}
@@ -307,12 +314,7 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
         if refs is not None:
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
-        if ref_cells is not None:
-            hint = ref_cells(k)
-        elif warm_cells:
-            hint = last_cells["seq"]
-        else:
-            hint = None
+        hint = ref_cells(k) if ref_cells is not None else last_cells["seq"]
         out = mpc_step(spec, U, z, big_m, z_ref=z_ref, v_ref=v_ref, tol=tol,
                        initial_cells=hint, structure=structure)
         ms = (time.perf_counter() - t0) * 1e3

@@ -175,7 +175,7 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
             tr = tr.reshape(nn.shape[0], n_out)
         err = np.abs(tr - nn)
         j = int(np.argmax(err.max(axis=1)))
-        return err.max(axis=0), pts[j]
+        return err.max(axis=0), pts[j].copy()   # a view would pin the chunk
 
     t0 = time.perf_counter()
     best = np.zeros(n_out)

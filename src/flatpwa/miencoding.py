@@ -95,8 +95,7 @@ class BigMData:
                    per_cell=np.full(len(U), float(value)))
 
 
-def compute_big_m(U: AdmissibleUnion, Z_box: HPolytope,
-                  tol: Tolerances = DEFAULT) -> BigMData:
+def compute_big_m(U: AdmissibleUnion, Z_box: HPolytope) -> BigMData:
     """Smallest sound per-row big-M constants over the bounded region Z_box.
 
     Each row constant is max_{zeta in Z_box} (Theta_j zeta - theta_j),
@@ -105,16 +104,16 @@ def compute_big_m(U: AdmissibleUnion, Z_box: HPolytope,
     per_row = []
     per_cell = []
     for c in U.cells:
-        v = np.maximum(row_violations(c.polytope, Z_box, tol), 0.0)
+        v = np.maximum(row_violations(c.polytope, Z_box), 0.0)
         per_row.append(v)
         per_cell.append(float(v.max()))
     return BigMData(per_row=per_row, per_cell=np.array(per_cell))
 
 
-def validate_big_m_override(U: AdmissibleUnion, Z_box: HPolytope, value: float,
-                            tol: Tolerances = DEFAULT) -> BigMData:
+def validate_big_m_override(U: AdmissibleUnion, Z_box: HPolytope,
+                            value: float) -> BigMData:
     """Uniform override, rejected when it undercuts any exact row constant."""
-    exact = compute_big_m(U, Z_box, tol)
+    exact = compute_big_m(U, Z_box)
     worst = float(exact.per_cell.max())
     if value < worst:
         raise ValueError(
@@ -169,14 +168,6 @@ class ColumnBlocks:
                      e_const=e_const)
         _frozen(*(getattr(blocks, f.name) for f in fields(blocks)))
         return blocks
-
-    def with_row(self, row):
-        """The blocks once a row without binary coefficient is appended to G."""
-        n_cont = self.Gc.shape[1]
-        if row[n_cont:].any():
-            raise ValueError("an appended row must not carry a binary")
-        return replace(self, Gc=np.concatenate((self.Gc, row[None, :n_cont])),
-                       g_const=np.concatenate((self.g_const, [not row[:n_cont].any()])))
 
 
 @dataclass
@@ -237,7 +228,7 @@ def encode_step(U: AdmissibleUnion, big_m: BigMData, zeta_cols, beta_cols,
     ``zeta_cols`` are the columns of (z, v) within the full variable vector,
     ``beta_cols`` the per-cell binary columns. With a single cell no binary
     is needed and the rows are emitted hard. This is the one row-block
-    builder: the horizon and point structures place its rows.
+    builder: the horizon structure and the point encoding place its rows.
     """
     zeta_cols = np.asarray(zeta_cols, dtype=int)
     lifted = [_lift_cell_rows(c, input_map, zeta_cols.size) for c in U.cells]
@@ -421,35 +412,16 @@ def encode_horizon(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R, z0,
                              ).instantiate(z0, z_ref, v_ref)
 
 
-@dataclass(frozen=True)
-class PointStructure:
-    """Single-instant membership rows over [v; beta] with z a parameter.
+def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
+                 m: int):
+    """Single-instant membership rows with z fixed: variables are [v; beta].
 
-    G (z eliminated), E, d and the node-assembly blocks are fixed and
-    read-only; a sample only moves the right-hand side, h = b - A_z z.
+    Returns (G, h, E, d, n_bin, groups, labels); rows whose zeta coefficients
+    touch only z collapse into constants (infeasible constants surface as
+    infeasible rows, which is the honest outcome for states outside the
+    workspace). The CLF controller solves this disjunction one cell at a
+    time instead; this big-M form is the reference its tests compare with.
     """
-
-    G: np.ndarray
-    b: np.ndarray
-    A_z: np.ndarray        # z coefficients of the union rows (the first rows of G)
-    E: np.ndarray
-    d: np.ndarray
-    n_bin: int
-    binary_groups: list
-    binary_labels: list
-    blocks: ColumnBlocks
-
-    def at(self, z):
-        """(G, h, E, d, n_bin, groups, labels) at the state z."""
-        h = self.b.copy()
-        h[:self.A_z.shape[0]] -= self.A_z @ np.asarray(z, dtype=float)
-        return (self.G, h, self.E, self.d, self.n_bin, self.binary_groups,
-                self.binary_labels)
-
-
-def point_structure(U: AdmissibleUnion, big_m: BigMData, input_map, n_z: int,
-                    m: int) -> PointStructure:
-    """The z-independent part of ``encode_point``."""
     rows, rhs = _local_step_rows(U, big_m, input_map, n_z + m)
     n_bin = len(U) if len(U) > 1 else 0
     n = m + n_bin
@@ -458,33 +430,13 @@ def point_structure(U: AdmissibleUnion, big_m: BigMData, input_map, n_z: int,
     k = np.arange(n_bin)
     G[rhs.size + 2 * k, m + k] = 1.0
     G[rhs.size + 2 * k + 1, m + k] = -1.0
-    E = np.zeros((0, n))
-    d = np.zeros(0)
-    if n_bin:
-        E = np.zeros((1, n))
-        E[0, m:] = 1.0
-        d = np.array([float(n_bin - 1)])
-    b = np.concatenate([rhs, np.tile([1.0, 0.0], n_bin)])
-    A_z = np.ascontiguousarray(rows[:, :n_z])
-    blocks = ColumnBlocks.of(G, E, m)
-    _frozen(G, b, A_z, E, d)
-    return PointStructure(G=G, b=b, A_z=A_z, E=E, d=d, n_bin=n_bin,
-                          binary_groups=[list(range(m, n))] if n_bin else [],
-                          binary_labels=[(0, j) for j in range(n_bin)],
-                          blocks=blocks)
-
-
-def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
-                 m: int):
-    """Single-instant membership rows with z fixed: variables are [v; beta].
-
-    Returns (G, h, E, d, n_bin, groups, labels); rows whose zeta coefficients
-    touch only z collapse into constants (infeasible constants surface as
-    infeasible rows, which is the honest outcome for states outside the
-    workspace). A controller builds the structure once
-    (``point_structure``) and evaluates it per sample; this does both.
-    """
-    return point_structure(U, big_m, input_map, n_z, m).at(z)
+    h = np.concatenate([rhs, np.tile([1.0, 0.0], n_bin)])
+    h[:rhs.size] -= np.ascontiguousarray(rows[:, :n_z]) @ np.asarray(z, dtype=float)
+    E = np.zeros((1 if n_bin else 0, n))
+    E[:, m:] = 1.0
+    d = np.full(E.shape[0], float(n_bin - 1))
+    return (G, h, E, d, n_bin, [list(range(m, n))] if n_bin else [],
+            [(0, j) for j in range(n_bin)])
 
 
 def export_model_text(model: MiqpModel) -> str:

@@ -87,7 +87,7 @@ class LpResult:
     eq_dual: np.ndarray | None = None
 
 
-def solve_lp(p: LpProblem, tol: Tolerances = DEFAULT) -> LpResult:
+def solve_lp(p: LpProblem) -> LpResult:
     """Solve an LP; infeasible/unbounded are regular statuses, not errors."""
     bounds = p.bounds if p.bounds is not None else [(None, None)] * p.n
     res = linprog(

@@ -185,21 +185,20 @@ def build_controller(pipe: Pipeline):
     cfg = pipe.cfg
     plant = pipe.plant
     U = pipe.ensure_union()
-    big_m = pipe.ensure_big_m()
-    budget = SolveBudget(max_nodes=cfg.max_nodes, max_ms=cfg.max_ms)
-    fallback = None
-    if cfg.fallback_max_nodes is not None:
-        fallback = SolveBudget(max_nodes=cfg.fallback_max_nodes, max_ms=cfg.max_ms)
 
     if cfg.controller == "clf":
         if cfg.P is None or cfg.gamma is None:
             raise ValueError("CLF control needs tuning.P and tuning.gamma")
         spec = ClfSpec(P=cfg.P, gamma=cfg.gamma, gain=cfg.gain)
-        ctl = make_clf_controller(spec, U, plant.A, plant.B, big_m,
-                                  input_map=plant.input_map, budget=budget)
+        ctl = make_clf_controller(spec, U, plant.A, plant.B,
+                                  input_map=plant.input_map)
         x0 = cfg.x0 if cfg.x0 is not None else np.zeros(plant.n)
         return ctl, np.asarray(x0, dtype=float), {"clf_spec": spec}
 
+    budget = SolveBudget(max_nodes=cfg.max_nodes, max_ms=cfg.max_ms)
+    fallback = None
+    if cfg.fallback_max_nodes is not None:
+        fallback = SolveBudget(max_nodes=cfg.fallback_max_nodes, max_ms=cfg.max_ms)
     Q = cfg.Q if cfg.Q is not None else np.eye(plant.n_z)
     R = cfg.R if cfg.R is not None else 0.1 * np.eye(plant.m)
     A_d, B_d = rk4_discretize(plant.A, plant.B, cfg.T_s)
@@ -242,7 +241,8 @@ def build_controller(pipe: Pipeline):
     if cfg.controller == "flmpc":
         ctl = make_flmpc_controller(spec, U, plant.phi, refs=refs)
     else:
-        ctl = make_mpc_controller(spec, U, big_m, refs=refs, ref_cells=ref_cells)
+        ctl = make_mpc_controller(spec, U, pipe.ensure_big_m(), refs=refs,
+                                  ref_cells=ref_cells)
     return ctl, np.asarray(x0, dtype=float), {"mpc_spec": spec, "refs": refs}
 
 

@@ -125,7 +125,7 @@ def find_point(P: HPolytope, tol: Tolerances = DEFAULT):
     c[-1] = 1.0
     G = np.hstack([P.A, -np.ones((m, 1))])
     bounds = [(None, None)] * d + [(0.0, None)]
-    res = solve_lp(LpProblem(c, G=G, h=P.b, bounds=bounds), tol)
+    res = solve_lp(LpProblem(c, G=G, h=P.b, bounds=bounds))
     if res.status != OPTIMAL:
         # feasible region of the phase-one LP is never empty; be defensive
         return None
@@ -150,7 +150,7 @@ def chebyshev_center(P: HPolytope, tol: Tolerances = DEFAULT):
     c[-1] = -1.0
     G = np.hstack([P.A, norms[:, None]])
     bounds = [(None, None)] * d + [(0.0, None)]
-    res = solve_lp(LpProblem(c, G=G, h=P.b, bounds=bounds), tol)
+    res = solve_lp(LpProblem(c, G=G, h=P.b, bounds=bounds))
     if res.status == UNBOUNDED:
         # unbounded inscribed radius; fall back to any feasible point
         x = find_point(P, tol)
@@ -163,14 +163,14 @@ def chebyshev_center(P: HPolytope, tol: Tolerances = DEFAULT):
     return res.x[:d], float(r)
 
 
-def is_bounded(P: HPolytope, tol: Tolerances = DEFAULT) -> bool:
+def is_bounded(P: HPolytope) -> bool:
     """True when every coordinate direction has a bounded LP over P."""
     d = P.dim
     for i in range(d):
         for sign in (1.0, -1.0):
             c = np.zeros(d)
             c[i] = sign
-            if solve_lp(LpProblem(c, G=P.A, h=P.b), tol).status == UNBOUNDED:
+            if solve_lp(LpProblem(c, G=P.A, h=P.b)).status == UNBOUNDED:
                 return False
     return True
 
@@ -186,7 +186,7 @@ def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
         raise ValueError(f"vertex enumeration limited to dim <= {VERTEX_DIM_LIMIT}")
     if m < d:
         raise ValueError("fewer rows than dimensions: unbounded")
-    if not is_bounded(P, tol):
+    if not is_bounded(P):
         raise ValueError("polytope is unbounded")
     pts = []
     supports = []
@@ -214,7 +214,7 @@ def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
     return VertexSet(np.array(pts), supports)
 
 
-def min_enclosing_l1_ball(V: VertexSet, tol: Tolerances = DEFAULT, center=None):
+def min_enclosing_l1_ball(V: VertexSet, center=None):
     """Smallest 1-norm ball containing every vertex.
 
     With ``center=None`` the center is optimized too, as an LP over
@@ -255,19 +255,19 @@ def min_enclosing_l1_ball(V: VertexSet, tol: Tolerances = DEFAULT, center=None):
         r3[-1] = -1.0
         rows.append(r3)
         rhs.append(0.0)
-    res = solve_lp(LpProblem(cost, G=np.array(rows), h=np.array(rhs)), tol)
+    res = solve_lp(LpProblem(cost, G=np.array(rows), h=np.array(rhs)))
     if res.status != OPTIMAL:
         raise RuntimeError("enclosing-ball LP failed")
     return res.x[:d], float(res.x[-1])
 
 
-def row_violations(P: HPolytope, Z: HPolytope, tol: Tolerances = DEFAULT) -> np.ndarray:
+def row_violations(P: HPolytope, Z: HPolytope) -> np.ndarray:
     """Per-row worst violation max_{x in Z} (A_j x - b_j), one LP per row."""
     if P.dim != Z.dim:
         raise ValueError("ambient dimensions differ")
     out = np.empty(P.num_rows)
     for j in range(P.num_rows):
-        res = solve_lp(LpProblem(-P.A[j], G=Z.A, h=Z.b), tol)
+        res = solve_lp(LpProblem(-P.A[j], G=Z.A, h=Z.b))
         if res.status == UNBOUNDED:
             raise ValueError("region Z is unbounded")
         if res.status != OPTIMAL:
@@ -276,6 +276,6 @@ def row_violations(P: HPolytope, Z: HPolytope, tol: Tolerances = DEFAULT) -> np.
     return out
 
 
-def max_row_violation(P: HPolytope, Z: HPolytope, tol: Tolerances = DEFAULT) -> float:
+def max_row_violation(P: HPolytope, Z: HPolytope) -> float:
     """M* = max_j max_{x in Z} (A_j x - b_j); the smallest sound big-M for P over Z."""
-    return float(np.max(row_violations(P, Z, tol)))
+    return float(np.max(row_violations(P, Z)))

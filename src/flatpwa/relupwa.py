@@ -171,7 +171,7 @@ def piece_for_pattern(net: ReluNetwork, alpha, workspace: HPolytope,
     return AffinePiece(alpha=np.asarray(alpha, dtype=int), F=F, f=f, polytope=cell)
 
 
-def _forced_signs(net: ReluNetwork, workspace: HPolytope, tol: Tolerances):
+def _forced_signs(net: ReluNetwork, workspace: HPolytope):
     """Per-neuron sign forced by interval bounds over the workspace's
     bounding box (sound: the box contains the workspace, so a pre-activation
     positive over the whole box is positive on the workspace)."""
@@ -183,8 +183,8 @@ def _forced_signs(net: ReluNetwork, workspace: HPolytope, tol: Tolerances):
     for i in range(d):
         c = np.zeros(d)
         c[i] = 1.0
-        r_min = solve_lp(LpProblem(c, G=workspace.A, h=workspace.b), tol)
-        r_max = solve_lp(LpProblem(-c, G=workspace.A, h=workspace.b), tol)
+        r_min = solve_lp(LpProblem(c, G=workspace.A, h=workspace.b))
+        r_max = solve_lp(LpProblem(-c, G=workspace.A, h=workspace.b))
         if r_min.status != "optimal" or r_max.status != "optimal":
             return np.zeros(net.n1, dtype=int)  # unbounded box: nothing forced
         lo[i] = r_min.objective
@@ -215,7 +215,7 @@ def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
             f"({width_guard}); shrink the network or raise the guard")
     if workspace.dim != net.n0:
         raise ValueError("workspace dimension must equal the network input size")
-    forced = _forced_signs(net, workspace, tol)
+    forced = _forced_signs(net, workspace)
     free_idx = np.flatnonzero(forced == 0)
     pieces = []
     for bits in itertools.product((-1, 1), repeat=free_idx.size):

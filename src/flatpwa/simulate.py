@@ -80,7 +80,6 @@ class ClosedLoopResult:
     state_violations: int = 0
     solver_ms: list = field(default_factory=list)
     infeasible_at: float | None = None
-    extras: dict = field(default_factory=dict)
 
     @property
     def mean_solver_ms(self):
@@ -89,9 +88,6 @@ class ClosedLoopResult:
     @property
     def max_solver_ms(self):
         return float(np.max(self.solver_ms)) if self.solver_ms else 0.0
-
-    def final_z(self):
-        return self.records[-1].z if self.records else None
 
 
 def locate_cell(union, y, tol: Tolerances = DEFAULT):

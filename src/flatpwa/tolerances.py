@@ -12,8 +12,6 @@ from dataclasses import dataclass
 class Tolerances:
     # absolute per-row feasibility residual accepted by LP/QP/polytope code
     feas: float = 1e-8
-    # relative objective accuracy demanded of the LP backend
-    lp_opt_rel: float = 1e-8
     # KKT residual accepted for a QP solution; also the gradient change at
     # which the QP kernel's proximal passes stop
     qp_kkt: float = 1e-7

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from flatpwa.miencoding import build_admissible_union, validate_big_m_override
+from flatpwa.miencoding import (MiqpModel, build_admissible_union, encode_point,
+                                validate_big_m_override)
 from flatpwa.plants import aircraft, pmsm, uav
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 
@@ -56,6 +57,32 @@ def aircraft_union(aircraft_cells):
 def aircraft_bigm(aircraft_union, aircraft_plant):
     return validate_big_m_override(aircraft_union, aircraft_plant.net_workspace,
                                    5000.0)
+
+
+def _clf_bigm_model(spec, U, z, plant, big_m):
+    """The CLF projection in big-M form over [v; beta]: ``encode_point``'s
+    rows plus the decrease row, the reference for the per-cell controller."""
+    z = np.asarray(z, dtype=float)
+    m = plant.B.shape[1]
+    G, h, E, d, n_bin, groups, labels = encode_point(U, z, big_m, plant.input_map,
+                                                     z.size, m)
+    n = m + n_bin
+    row = np.zeros(n)
+    row[:m] = 2.0 * plant.B.T @ spec.P @ z
+    rhs = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ plant.A @ z)
+    vd = spec.v_d(z)
+    H = np.zeros((n, n))
+    H[:m, :m] = 2.0 * np.eye(m)
+    g = np.zeros(n)
+    g[:m] = -2.0 * vd
+    return MiqpModel(H=H, g=g, c0=float(vd @ vd), G=np.vstack([G, row]),
+                     h=np.append(h, rhs), E=E, d=d, n_cont=m, n_bin=n_bin,
+                     binary_groups=groups, binary_labels=labels)
+
+
+@pytest.fixture(scope="session")
+def clf_bigm_model():
+    return _clf_bigm_model
 
 
 @pytest.fixture(scope="session")

@@ -198,7 +198,7 @@ def test_c8_closed_loop_mpc(aircraft_union, aircraft_bigm, aircraft_plant):
                   f"||z|| <= 1e-2 at t = {t_conv:.1f} s")
 
 
-def test_c9_clf_decrease(aircraft_union, aircraft_bigm, aircraft_plant):
+def test_c9_clf_decrease(aircraft_union, aircraft_plant):
     spec = ClfSpec(P=PAPER_P, gamma=0.05, gain=PAPER_GAIN)
     ver = verify_clf(spec, aircraft_plant.A, aircraft_plant.B)
     rng = np.random.default_rng(31)
@@ -209,7 +209,7 @@ def test_c9_clf_decrease(aircraft_union, aircraft_bigm, aircraft_plant):
     while tried < 20:
         z0 = rng.uniform([-0.2, -0.5], [0.2, 0.5])
         ctl = make_clf_controller(spec, aircraft_union, aircraft_plant.A,
-                                  aircraft_plant.B, aircraft_bigm,
+                                  aircraft_plant.B,
                                   input_map=aircraft_plant.input_map)
         try:
             res = run_closed_loop(aircraft_plant, ctl, z0, T_sim=8.0, T_s=T_s,

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from flatpwa import numkernel, polytope
+from flatpwa import controllers, numkernel, polytope
 from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step,
                                  mpc_step, verify_clf)
-from flatpwa.miqpsolver import solve_by_cell_enumeration
+from flatpwa.miqpsolver import solve_by_cell_enumeration, solve_miqp
+from flatpwa.tolerances import DEFAULT
 from flatpwa.plants.aircraft import aircraft_phi
 from flatpwa.simulate import ControllerInfeasible, locate_cell, rk4_discretize
 
@@ -45,15 +47,14 @@ def test_verify_clf_indefinite_p_fails(aircraft_plant):
     assert report["pd_min_eig"] < 0
 
 
-def test_clf_step_origin(clf_spec, aircraft_union, aircraft_bigm, aircraft_plant):
+def test_clf_step_origin(clf_spec, aircraft_union, aircraft_plant):
     out = clf_step(clf_spec, aircraft_union, np.zeros(2), aircraft_plant.A,
-                   aircraft_plant.B, aircraft_bigm,
-                   input_map=aircraft_plant.input_map)
+                   aircraft_plant.B, input_map=aircraft_plant.input_map)
     assert np.abs(out.v).max() <= 1e-7
 
 
 def test_clf_step_interior_returns_desired(clf_spec, aircraft_union,
-                                           aircraft_bigm, aircraft_plant):
+                                           aircraft_plant):
     # states where v_d is strictly decreasing and strictly admissible: the
     # projection must return v_d itself
     rng = np.random.default_rng(1)
@@ -68,56 +69,123 @@ def test_clf_step_interior_returns_desired(clf_spec, aircraft_union,
         inside = min(c.polytope.residual(y) for c in aircraft_union.cells)
         if decrease < -1e-3 and inside < -1e-3:
             out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                           aircraft_plant.B, aircraft_bigm,
-                           input_map=aircraft_plant.input_map)
+                           aircraft_plant.B, input_map=aircraft_plant.input_map)
             assert out.v[0] == pytest.approx(vd[0], abs=1e-7)
             checked += 1
     assert checked >= 20
 
 
 def test_clf_step_matches_oracle(clf_spec, aircraft_union, aircraft_bigm,
-                                 aircraft_plant):
-    out = clf_step(clf_spec, aircraft_union, np.array([0.2, 0.0]),
-                   aircraft_plant.A, aircraft_plant.B, aircraft_bigm,
-                   input_map=aircraft_plant.input_map)
-    oracle = solve_by_cell_enumeration(out.model)
-    assert out.result.objective == pytest.approx(oracle.objective, abs=1e-7)
+                                 aircraft_plant, clf_bigm_model):
+    z = np.array([0.2, 0.0])
+    out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
+                   aircraft_plant.B, input_map=aircraft_plant.input_map)
+    oracle = solve_by_cell_enumeration(
+        clf_bigm_model(clf_spec, aircraft_union, z, aircraft_plant, aircraft_bigm))
+    assert out.objective == pytest.approx(oracle.objective, abs=1e-7)
     assert out.v[0] == pytest.approx(oracle.x[0], abs=1e-5)
 
 
 def test_clf_step_near_integral_relaxation(clf_spec, aircraft_union,
-                                           aircraft_bigm, aircraft_plant):
-    # warm started from cell 0, which is infeasible here, the root relaxation
-    # keeps that cell's binary within the integrality tolerance of 0 (big-M
-    # 5000 turns it into real slack); branch and bound must branch on it,
-    # not drop the node
+                                           aircraft_bigm, aircraft_plant,
+                                           clf_bigm_model):
+    # the big-M CLF program, warm started from cell 0, which is infeasible
+    # here: the root relaxation keeps that cell's binary within the
+    # integrality tolerance of 0 (big-M 5000 turns it into real slack);
+    # branch and bound must branch on it, not drop the node
     z = np.array([0.19870512717486002, -0.06343216961189396])
     warm = np.array([-0.48184819089523845, 0.0, 1.0, 1.0])
-    out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                   aircraft_plant.B, aircraft_bigm,
-                   input_map=aircraft_plant.input_map, initial_cells=[0],
-                   warm_x=warm)
-    oracle = solve_by_cell_enumeration(out.model)
-    assert out.result.status == "optimal"
-    assert out.result.objective == pytest.approx(oracle.objective, abs=1e-7)
+    model = clf_bigm_model(clf_spec, aircraft_union, z, aircraft_plant,
+                           aircraft_bigm)
+    res = solve_miqp(model, initial_cells=[0], warm_x=warm)
+    oracle = solve_by_cell_enumeration(model)
+    assert res.status == "optimal"
+    assert res.objective == pytest.approx(oracle.objective, abs=1e-7)
+
+
+# C9's box of initial states is [-0.2, 0.2] x [-0.5, 0.5]; the draws reach
+# beyond it, and beyond the workspace |z1| <= 20 deg, where no cell is
+# feasible
+@settings(max_examples=150, deadline=None)
+@given(z1=st.floats(-0.4, 0.4), z2=st.floats(-1.0, 1.0))
+def test_clf_per_cell_matches_big_m_program(z1, z2, clf_spec, aircraft_union,
+                                            aircraft_bigm, aircraft_plant,
+                                            clf_bigm_model):
+    z = np.array([z1, z2])
+    model = clf_bigm_model(clf_spec, aircraft_union, z, aircraft_plant,
+                           aircraft_bigm)
+    bb = solve_miqp(model)
+    oracle = solve_by_cell_enumeration(model)
+    try:
+        out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
+                       aircraft_plant.B, input_map=aircraft_plant.input_map)
+    except ControllerInfeasible:
+        out = None
+    assert bb.status in ("optimal", "infeasible")
+    assert bb.status == oracle.status == ("infeasible" if out is None else "optimal")
+    if out is None:
+        return
+    for ref in (bb, oracle):
+        assert out.objective == pytest.approx(ref.objective, abs=1e-7)
+        assert out.v[0] == pytest.approx(ref.x[0], abs=1e-5)
+
+
+def test_clf_step_solves_one_qp_per_cell(monkeypatch, clf_spec, aircraft_union,
+                                         aircraft_plant):
+    # one QP when v_d is admissible and decreasing and its cell is tried
+    # first; otherwise, unless a cell comes within the optimality gap of
+    # v_d, every cell; never branch and bound
+    qp_calls = []
+    solve_qp = controllers.solve_qp
+
+    def counted(*args, **kwargs):
+        qp_calls.append(1)
+        return solve_qp(*args, **kwargs)
+
+    def no_miqp(*args, **kwargs):
+        raise AssertionError("the CLF step called branch and bound")
+
+    monkeypatch.setattr(controllers, "solve_qp", counted)
+    monkeypatch.setattr(controllers, "solve_miqp", no_miqp)
+    A, B, P, S = aircraft_plant.A, aircraft_plant.B, clf_spec.P, aircraft_plant.input_map
+    rng = np.random.default_rng(4)
+    seen = {"one": 0, "every": 0}
+    for _ in range(300):
+        z = rng.uniform([-0.3, -0.8], [0.3, 0.8])
+        vd = clf_spec.v_d(z)
+        decrease = 2 * z @ P @ (A @ z + B @ vd) + clf_spec.gamma * z @ P @ z
+        y = S @ np.concatenate([z, vd])
+        inside = [c.polytope.residual(y) for c in aircraft_union.cells]
+        j = int(np.argmin(inside))
+        qp_calls.clear()
+        try:
+            out = clf_step(clf_spec, aircraft_union, z, A, B, input_map=S,
+                           first_cell=j)
+        except ControllerInfeasible:
+            out = None
+        if decrease < -1e-3 and inside[j] < -1e-3:
+            assert len(qp_calls) == 1 and out.cell == j
+            seen["one"] += 1
+        elif out is None or out.objective > DEFAULT.miqp_gap:
+            assert len(qp_calls) == len(aircraft_union)
+            seen["every"] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_clf_argmin_invariance_under_cost_scaling(clf_spec, aircraft_union,
-                                                  aircraft_bigm, aircraft_plant):
+                                                  aircraft_plant):
     rng = np.random.default_rng(23)
     checked = 0
     for _ in range(100):
         z = rng.uniform([-0.2, -0.8], [0.2, 0.8])
         try:
             base = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                            aircraft_plant.B, aircraft_bigm,
-                            input_map=aircraft_plant.input_map)
+                            aircraft_plant.B, input_map=aircraft_plant.input_map)
         except ControllerInfeasible:
             continue
         for lam in (0.5, 3.0):
             scaled = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                              aircraft_plant.B, aircraft_bigm,
-                              input_map=aircraft_plant.input_map,
+                              aircraft_plant.B, input_map=aircraft_plant.input_map,
                               cost_scale=lam)
             assert scaled.v[0] == pytest.approx(base.v[0], abs=1e-6)
         checked += 1
@@ -133,12 +201,12 @@ def test_online_steps_make_no_lp_calls(monkeypatch, clf_spec, mpc_spec,
     for module in (numkernel, polytope):
         monkeypatch.setattr(module, "solve_lp", no_lp)
     clf = clf_step(clf_spec, aircraft_union, np.array([0.2, 0.0]),
-                   aircraft_plant.A, aircraft_plant.B, aircraft_bigm,
+                   aircraft_plant.A, aircraft_plant.B,
                    input_map=aircraft_plant.input_map)
     mpc = mpc_step(mpc_spec, aircraft_union, np.array([0.25, 0.0]),
                    aircraft_bigm)
-    for out in (clf, mpc):
-        assert out.result.status == "optimal" and out.result.node_count >= 1
+    assert np.isfinite(clf.objective)
+    assert mpc.result.status == "optimal"
     assert mpc.result.node_count > 1    # branch and bound really branched
 
 

@@ -100,6 +100,18 @@ def test_refinement_monotonicity(aircraft_net, aircraft_cells):
     assert c2.eps_bar[0] <= c1.eps_bar[0] + 1e-12  # tighter here in practice
 
 
+def test_certificate_argmax_owns_its_data(aircraft_net, aircraft_cells):
+    # a view into the grid chunk would keep the whole chunk alive with the
+    # certificate
+    g = GridSpec.symmetric([0.02, 0.1], [PARAMS.phi_bar, PARAMS.v_bar])
+    cert = grid_error_certificate(aircraft_true, aircraft_cells, aircraft_net,
+                                  g, 30.0, chunk_rows=100)
+    assert cert.argmax.base is None and cert.argmax.shape == (2,)
+    nn = pwa_eval_batch(aircraft_cells, aircraft_net, cert.argmax[None, :])
+    err = abs(aircraft_true(cert.argmax[None, :])[0] - nn[0, 0])
+    assert err == pytest.approx(cert.eps_tilde[0], rel=1e-12)
+
+
 def test_taylor_cell_bounds_affine_exact():
     # affine true map approximated by itself: both terms vanish
     from flatpwa.relupwa import ReluNetwork, enumerate_cells

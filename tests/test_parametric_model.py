@@ -1,9 +1,9 @@
 """The parametric MIQP: one structure per controller, one model per sample.
 
-The structure is assembled by blocks and each sample only fills in z0, the
-references and (for the CLF) the z-dependent right-hand side. These tests
-hold it to a row-by-row reference encoder, bit for bit, and hold the node
-assembly of branch and bound to plain column selection.
+The structure is assembled by blocks and each sample only fills in z0 and
+the references. These tests hold it, and the single-instant big-M rows of
+``encode_point``, to a row-by-row reference encoder, bit for bit, and hold
+the node assembly of branch and bound to plain column selection.
 """
 
 from pathlib import Path
@@ -13,8 +13,8 @@ import pytest
 
 import flatpwa
 from flatpwa.config import load_scenario
-from flatpwa.controllers import clf_step, mpc_structure
-from flatpwa.miencoding import ColumnBlocks, encode_horizon, point_structure
+from flatpwa.controllers import mpc_structure
+from flatpwa.miencoding import encode_horizon, encode_point
 from flatpwa.miqpsolver import _node_problem
 from flatpwa.numkernel import QpProblem
 from flatpwa.pipeline import build_controller, build_pipeline
@@ -223,12 +223,11 @@ def test_sample_model_matches_row_by_row_encoder(mpc_setup):
 
 def test_point_rows_match_row_by_row_encoder(aircraft_union, aircraft_bigm,
                                              aircraft_plant):
-    structure = point_structure(aircraft_union, aircraft_bigm,
-                                aircraft_plant.input_map, 2, 1)
     rng = np.random.default_rng(5)
     for _ in range(20):
         z = rng.uniform([-0.3, -1.0], [0.3, 1.0])
-        G, h, *_ = structure.at(z)
+        G, h, *_ = encode_point(aircraft_union, z, aircraft_bigm,
+                                aircraft_plant.input_map, 2, 1)
         G_ref, h_ref = _ref_point(aircraft_union, z, aircraft_bigm,
                                   aircraft_plant.input_map, 2, 1)
         assert _bits(G) == _bits(G_ref) and _bits(h) == _bits(h_ref)
@@ -299,19 +298,15 @@ def test_node_problem_matches_column_selection(mpc_setup):
     assert outcomes == ({False, True} if model.n_bin else {False})
 
 
-def test_clf_node_problem_matches_column_selection():
+def test_clf_node_problem_matches_column_selection(clf_bigm_model):
     pipe = build_pipeline(load_scenario(SCENARIOS / "aircraft_clf.yaml"))
     _, _, info = build_controller(pipe)
     U, big_m, plant = pipe.ensure_union(), pipe.ensure_big_m(), pipe.plant
-    structure = point_structure(U, big_m, plant.input_map, 2, 1)
     rng = np.random.default_rng(8)
     for z in ([0.2, 0.0], [-0.1, 0.3], [0.05, -0.2]):
-        model = clf_step(info["clf_spec"], U, np.array(z), plant.A, plant.B, big_m,
-                         input_map=plant.input_map, structure=structure).model
-        # the blocks grown by the CLF row equal blocks built from scratch
-        fresh = ColumnBlocks.of(model.G, model.E, model.n_cont)
-        for key in ("Gc", "g_const", "bin_row", "bin_col", "bin_coef"):
-            assert np.array_equal(getattr(model.blocks, key), getattr(fresh, key)), key
+        # the big-M CLF program; MiqpModel builds its node-assembly blocks
+        # with ColumnBlocks.of
+        model = clf_bigm_model(info["clf_spec"], U, z, plant, big_m)
         for fixed in _random_fixings(rng, model, 10):
             prob, keep = _node_problem(model, fixed, DEFAULT)
             ref, ref_keep = _ref_node_problem(model, fixed, DEFAULT)
