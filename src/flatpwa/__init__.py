@@ -5,17 +5,15 @@ feedback-linearized differentially flat systems."""
 from .tolerances import DEFAULT, Tolerances
 from .numkernel import LpProblem, LpResult, QpProblem, QpResult, solve_lp, solve_qp, eig_sym
 from .polytope import (HPolytope, VertexSet, chebyshev_center, intersect, is_empty,
-                       max_row_violation, min_enclosing_l1_ball, row_violations, vertices)
+                       max_row_violation, row_violations, vertices)
 from .relupwa import (AffinePiece, PwaDecomposition, ReluNetwork, enumerate_cells,
-                      forward, piece_for_pattern, pwa_eval, pwa_lipschitz,
-                      region_count_lower_bound)
+                      forward, piece_for_pattern, pwa_eval, pwa_lipschitz)
 from .errorbounds import (ErrorCertificate, GridSpec, TaylorCellBound,
                           grid_error_certificate, required_granularity,
                           taylor_cell_bounds)
 from .miencoding import (AdmissibleCell, AdmissibleUnion, BigMData, MiqpModel,
                          build_admissible_union, compute_big_m, encode_horizon,
-                         encode_point, encode_step, export_model_text,
-                         validate_big_m_override)
+                         encode_point, encode_step, validate_big_m_override)
 from .miqpsolver import (MiqpResult, SolveBudget, solve_by_cell_enumeration,
                          solve_miqp)
 from .controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step, mpc_step,

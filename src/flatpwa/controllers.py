@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .miencoding import (AdmissibleUnion, BigMData, HorizonStructure, MiqpModel,
-                         encode_horizon, horizon_structure)
-# not called here: the benchmark's tracer rebinds this name in this module
-from .miencoding import encode_point  # noqa: F401
+                         horizon_structure)
+# not called here: the benchmark's tracer rebinds these names in this module
+from .miencoding import encode_horizon, encode_point  # noqa: F401
 from .miqpsolver import MiqpResult, SolveBudget, solve_miqp
 from .numkernel import ITERATION_LIMIT, OPTIMAL, QpProblem, eig_sym, solve_qp
 from .polytope import HPolytope
@@ -130,7 +130,7 @@ def _best_cell(order, cell_problem, tol: Tolerances):
 
 
 def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
-             tol: Tolerances = DEFAULT, cost_scale: float = 1.0,
+             tol: Tolerances = DEFAULT,
              first_cell: int | None = None) -> ClfStepResult:
     """Project the desired input onto the stabilizing admissible set.
 
@@ -154,9 +154,9 @@ def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
     clf_row = 2.0 * B.T @ spec.P @ z
     clf_rhs = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ A @ z)
     vd = spec.v_d(z)
-    H = cost_scale * (2.0 * np.eye(m))
-    g = cost_scale * (-2.0 * vd)
-    c0 = cost_scale * float(vd @ vd)
+    H = 2.0 * np.eye(m)
+    g = -2.0 * vd
+    c0 = float(vd @ vd)
 
     def cell_problem(j):
         cell = slice(rows.starts[j], ends[j])
@@ -196,13 +196,10 @@ def mpc_structure(spec: MpcSpec, U: AdmissibleUnion | None,
     """The sample-independent part of ``spec``'s horizon program, built once
     per controller; ``U=None`` gives the FL-MPC base without the union."""
     return horizon_structure(U, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
-                             big_m, **_horizon_rows(spec, U))
-
-
-def _horizon_rows(spec: MpcSpec, U):
-    return {"state_rows": spec.state_rows, "input_rows": spec.input_rows,
-            "input_map": None if U is None else spec.input_map,
-            "terminal_weight": spec.terminal_weight}
+                             big_m, state_rows=spec.state_rows,
+                             input_map=None if U is None else spec.input_map,
+                             input_rows=spec.input_rows,
+                             terminal_weight=spec.terminal_weight)
 
 
 def mpc_step(spec: MpcSpec, U: AdmissibleUnion, z0, big_m: BigMData,
@@ -212,13 +209,10 @@ def mpc_step(spec: MpcSpec, U: AdmissibleUnion, z0, big_m: BigMData,
     """One receding-horizon solve; returns the first input and the forecast.
 
     ``structure`` is ``mpc_structure(spec, U, big_m)``, built once by a
-    controller; without it the program is encoded from scratch."""
+    controller; without it, it is built here."""
     if structure is None:
-        model = encode_horizon(U, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
-                               z0, big_m, z_ref=z_ref, v_ref=v_ref,
-                               **_horizon_rows(spec, U))
-    else:
-        model = structure.instantiate(z0, z_ref, v_ref)
+        structure = mpc_structure(spec, U, big_m)
+    model = structure.instantiate(z0, z_ref, v_ref)
     res = solve_miqp(model, budget=spec.budget, tol=tol,
                      initial_cells=initial_cells)
     if res.x is None and spec.fallback_budget is not None:
@@ -251,14 +245,12 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
     re-checked against the true map by the caller. Later forecast steps only
     carry the state rows, so their implied inputs may violate the true bound
     -- that is the point of the baseline. ``structure`` is
-    ``mpc_structure(spec, None, None)``, built once by a controller.
+    ``mpc_structure(spec, None, None)``, built once by a controller, or
+    here when not given.
     """
     if structure is None:
-        base = encode_horizon(None, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
-                              z0, z_ref=z_ref, v_ref=v_ref,
-                              **_horizon_rows(spec, None))
-    else:
-        base = structure.instantiate(z0, z_ref, v_ref)
+        structure = mpc_structure(spec, None, None)
+    base = structure.instantiate(z0, z_ref, v_ref)
     n_z = base.meta["n_z"]
     m = base.meta["m"]
     zeta_cols = np.concatenate([np.arange(n_z),

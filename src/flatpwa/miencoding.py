@@ -191,7 +191,6 @@ class MiqpModel:
     n_cont: int
     n_bin: int
     binary_groups: list = field(default_factory=list)   # per step: binary column idx
-    binary_labels: list = field(default_factory=list)   # per binary: (step, cell)
     meta: dict = field(default_factory=dict)
     blocks: ColumnBlocks | None = field(default=None, repr=False, compare=False)
 
@@ -208,9 +207,6 @@ class MiqpModel:
     @property
     def n(self):
         return self.n_cont + self.n_bin
-
-    def binary_columns(self):
-        return list(range(self.n_cont, self.n_cont + self.n_bin))
 
 
 def _lift_cell_rows(cell: AdmissibleCell, input_map, zeta_dim):
@@ -385,7 +381,6 @@ def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
     template = MiqpModel(
         H=H, g=g, c0=0.0, G=G, h=h, E=E, d=d, n_cont=n_cont, n_bin=n_bin,
         binary_groups=bc.tolist() if use_bin else [],
-        binary_labels=[(i, j) for i in range(N_p) for j in range(n_cells)] if use_bin else [],
         meta={"n_z": n_z, "m": m, "N_p": N_p, "num_cells": n_cells})
     return HorizonStructure(template=template, Q=Q, R=R, P=P)
 
@@ -416,7 +411,7 @@ def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
                  m: int):
     """Single-instant membership rows with z fixed: variables are [v; beta].
 
-    Returns (G, h, E, d, n_bin, groups, labels); rows whose zeta coefficients
+    Returns (G, h, E, d, n_bin, groups); rows whose zeta coefficients
     touch only z collapse into constants (infeasible constants surface as
     infeasible rows, which is the honest outcome for states outside the
     workspace). The CLF controller solves this disjunction one cell at a
@@ -435,28 +430,4 @@ def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
     E = np.zeros((1 if n_bin else 0, n))
     E[:, m:] = 1.0
     d = np.full(E.shape[0], float(n_bin - 1))
-    return (G, h, E, d, n_bin, [list(range(m, n))] if n_bin else [],
-            [(0, j) for j in range(n_bin)])
-
-
-def export_model_text(model: MiqpModel) -> str:
-    """Plain-text listing of a built model for debugging against external
-    solvers: objective, rows, binaries."""
-    lines = ["MIQP model", f"continuous {model.n_cont} binary {model.n_bin}", "objective:"]
-    Hnz = np.argwhere(np.triu(model.H) != 0)
-    terms = [f" {model.H[i, j]:+.12g} x{i}*x{j}" for i, j in Hnz]
-    terms += [f" {model.g[i]:+.12g} x{i}" for i in np.flatnonzero(model.g)]
-    lines.append("  min 0.5*[" + "".join(t for t in terms) + f" ] {model.c0:+.12g}")
-    lines.append("subject to:")
-    for r in range(model.G.shape[0]):
-        nz = np.flatnonzero(model.G[r])
-        body = " + ".join(f"{model.G[r, i]:.12g}*x{i}" for i in nz)
-        lines.append(f"  {body} <= {model.h[r]:.12g}")
-    for r in range(model.E.shape[0]):
-        nz = np.flatnonzero(model.E[r])
-        body = " + ".join(f"{model.E[r, i]:.12g}*x{i}" for i in nz)
-        lines.append(f"  {body} == {model.d[r]:.12g}")
-    if model.n_bin:
-        cols = ", ".join(f"x{i}" for i in model.binary_columns())
-        lines.append(f"binary: {cols}")
-    return "\n".join(lines) + "\n"
+    return G, h, E, d, n_bin, [list(range(m, n))] if n_bin else []

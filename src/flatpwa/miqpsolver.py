@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,39 +41,80 @@ class MiqpResult:
     node_count: int = 0
     wall_time_s: float = 0.0
     gap: float = 0.0
-    diagnostics: dict = field(default_factory=dict)
 
     def cell_sequence(self, model: MiqpModel):
         """Chosen cell per step, decoded from the zero binary in each group."""
         if self.beta is None or not model.binary_groups:
             return []
-        seq = []
-        for group in model.binary_groups:
-            vals = [self.beta[c - model.n_cont] for c in group]
-            seq.append(int(np.argmin(vals)))
-        return seq
+        return np.argmin(self.beta[_groups(model)], axis=1).tolist()
 
 
-def _node_problem(model: MiqpModel, fixed: dict, tol: Tolerances):
+# A node of the search is an array over the binaries: a fixed binary holds its
+# value, a free one NaN. A node without a free binary is a leaf.
+
+def _groups(model: MiqpModel):
+    """Binary offsets, one row per step's cardinality group (every step
+    selects among the same cells, so the rows have one length)."""
+    if not model.binary_groups:
+        return np.zeros((0, 0), dtype=int)
+    return np.array(model.binary_groups) - model.n_cont
+
+
+def _cell_leaf(model: MiqpModel, cells):
+    """The leaf of a cell sequence: at step i the binary of cell ``cells[i]``
+    is 0 and its siblings are 1. A step without a cell in range keeps every
+    binary at 1, which its cardinality row rejects."""
+    groups = _groups(model)
+    cells = np.asarray(cells, dtype=int)[:len(groups)]
+    fix = np.ones(model.n_bin)
+    fix[groups[:cells.size]] = np.arange(groups.shape[1]) != cells[:, None]
+    return fix
+
+
+def _implied(groups, fix):
+    """Apply the cardinality rows: a chosen cell (a binary at 0) forces its
+    siblings to 1, and siblings all at 1 but one free force that one to 0.
+    The groups are disjoint, so one pass reaches the fix-point. Returns None
+    when a group can no longer hold exactly one chosen cell."""
+    vals = fix[groups]
+    zeros = (vals == 0.0).sum(axis=1)
+    ones = (vals == 1.0).sum(axis=1)
+    size = groups.shape[1]
+    if (zeros > 1).any() or (ones == size).any():
+        return None
+    fill = np.where(zeros == 1, 1.0, np.where(ones == size - 1, 0.0, np.nan))
+    fix = fix.copy()
+    fix[groups] = np.where(np.isnan(vals), fill[:, None], vals)
+    return fix
+
+
+def _kept(model: MiqpModel, fix):
+    """Mask of a node QP's columns within [x; beta]: the continuous columns
+    and the free binaries."""
+    return np.concatenate([np.ones(model.n_cont, dtype=bool), np.isnan(fix)])
+
+
+def _assemble(model: MiqpModel, fix, x_node):
+    """[x; beta] from a node QP's solution and the node's fixed binaries."""
+    full = np.concatenate([np.empty(model.n_cont), fix])
+    full[_kept(model, fix)] = x_node
+    return full
+
+
+def _node_problem(model: MiqpModel, fix, tol: Tolerances):
     """QP over [x; free binaries] with fixed binaries substituted out.
 
     Assembled from ``model.blocks``: a fixed binary moves the right-hand
     side of its one row, and with every binary fixed G, E and H are the
     continuous blocks themselves, uncopied. Rows are kept in place (vacuous
     ones become zero rows) so that active-set row indices stay valid across
-    the whole tree. Returns (None, keep) when a constant row is already
-    violated.
+    the whole tree. Returns None when a constant row is already violated.
     """
     blocks = model.blocks
     nc = model.n_cont
-    value = np.zeros(model.n_bin)
-    is_free = np.ones(model.n_bin, dtype=bool)
-    if fixed:
-        cols = np.fromiter(fixed, int, len(fixed)) - nc
-        value[cols] = np.fromiter(fixed.values(), float, len(fixed))
-        is_free[cols] = False
+    is_free = np.isnan(fix)
+    value = np.where(is_free, 0.0, fix)
     free = np.flatnonzero(is_free)
-    keep = np.concatenate([np.arange(nc), nc + free])
 
     row_free = is_free[blocks.bin_col]
     moved = ~row_free
@@ -81,7 +123,7 @@ def _node_problem(model: MiqpModel, fixed: dict, tol: Tolerances):
     const = blocks.g_const.copy()
     const[blocks.bin_row[row_free]] = False
     if (h[const] < -tol.feas).any():
-        return None, keep
+        return None
     h[const] = np.maximum(h[const], 0.0)
 
     d = model.d - blocks.Eb @ value
@@ -91,137 +133,74 @@ def _node_problem(model: MiqpModel, fixed: dict, tol: Tolerances):
     else:
         const = blocks.e_const
     if (np.abs(d[const]) > tol.feas).any():
-        return None, keep
+        return None
     d = d[~const]
     if free.size:
         E = np.hstack([blocks.Ec, E_free])[~const]
         G = np.hstack([blocks.Gc, model.G[:, nc + free]])
-        H = np.zeros((keep.size, keep.size))
+        H = np.zeros((nc + free.size, nc + free.size))
         H[:nc, :nc] = model.H[:nc, :nc]
         g = np.concatenate([model.g[:nc], np.zeros(free.size)])
     else:
         E, G, H, g = blocks.Ec_live, blocks.Gc, model.H[:nc, :nc], model.g[:nc]
-    prob = QpProblem(H=H, g=g, G=G, h=h, E=E if E.shape[0] else None,
+    return QpProblem(H=H, g=g, G=G, h=h, E=E if E.shape[0] else None,
                      d=d if E.shape[0] else None, c0=model.c0, tol=tol)
-    return prob, keep
-
-
-def _assemble(model: MiqpModel, keep, x_free, fixed):
-    full = np.empty(model.n)
-    full[keep] = x_free
-    full[np.fromiter(fixed, int, len(fixed))] = np.fromiter(fixed.values(), float,
-                                                            len(fixed))
-    return full
-
-
-def _forced_fixes(model: MiqpModel, fixed: dict):
-    """Cardinality implications: all-but-one excluded forces the survivor."""
-    changed = True
-    fixed = dict(fixed)
-    while changed:
-        changed = False
-        for group in model.binary_groups:
-            free = [c for c in group if c not in fixed]
-            ones = sum(1 for c in group if fixed.get(c) == 1.0)
-            zeros = sum(1 for c in group if fixed.get(c) == 0.0)
-            if zeros > 1 or ones == len(group):
-                return None  # cardinality row unsatisfiable
-            if zeros == 1 and free:
-                # one cell chosen: every other sibling is 1
-                for c in free:
-                    fixed[c] = 1.0
-                changed = True
-            elif ones == len(group) - 1 and len(free) == 1:
-                fixed[free[0]] = 0.0
-                changed = True
-    return fixed
 
 
 def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
-               tol: Tolerances = DEFAULT, initial_cells=None, warm_x=None,
-               track_bounds: bool = False) -> MiqpResult:
+               tol: Tolerances = DEFAULT, initial_cells=None) -> MiqpResult:
     """Best-first branch and bound to an absolute gap of ``tol.miqp_gap``.
 
-    ``initial_cells`` (one cell index per step) seeds the incumbent before
-    any node is expanded; ``warm_x`` (a full-length candidate, e.g. the
-    previous sample's solution) seeds the node QPs' proximal centre. On
-    budget exhaustion, or when a node QP hits its iteration cap, the
-    incumbent is returned with status ``budget_exceeded``.
+    Every node is solved once, when it is created. A node with a free
+    binary goes on the heap; a leaf is offered as the incumbent. The cell
+    sequence ``initial_cells`` (one cell index per step) is such a leaf,
+    solved before the root, as is the rounding of a near-integral node and
+    the root of a model without binaries. On budget exhaustion, or when a
+    node QP hits its iteration cap, the incumbent is returned with status
+    ``budget_exceeded``.
     """
     budget = budget or SolveBudget()
     t0 = time.perf_counter()
-    bound_pairs = []
-
-    if model.n_bin == 0:
-        prob, keep = _node_problem(model, {}, tol)
-        if prob is None:
-            return MiqpResult(INFEASIBLE, node_count=0,
-                              wall_time_s=time.perf_counter() - t0)
-        res = solve_qp(prob, tol=tol)
-        if res.status != OPTIMAL:
-            status = BUDGET_EXCEEDED if res.status == ITERATION_LIMIT else INFEASIBLE
-            return MiqpResult(status, node_count=1,
-                              wall_time_s=time.perf_counter() - t0)
-        return MiqpResult(OPTIMAL, x=res.x[:model.n_cont], beta=np.zeros(0),
-                          objective=res.objective, node_count=1,
-                          wall_time_s=time.perf_counter() - t0)
-
+    groups = _groups(model)
     incumbent = None
     incumbent_obj = np.inf
     # a node QP that hits its iteration cap proves nothing about its subtree,
     # so it is never pruned: the search stops with budget_exceeded
     stalled = False
-
-    def node_qp(fixed, warm, warm_set=None):
-        nonlocal stalled
-        prob, keep = _node_problem(model, fixed, tol)
-        if prob is None:
-            return None, keep
-        res = solve_qp(prob, x0=None if warm is None else warm[keep],
-                       active_set=warm_set, tol=tol)
-        stalled = stalled or res.status == ITERATION_LIMIT
-        return (res if res.status == OPTIMAL else None), keep
-
-    def exact_solve(fix, warm=None):
-        fix = _forced_fixes(model, fix)
-        if fix is None or len(fix) != model.n_bin:
-            return None
-        res, keep = node_qp(fix, warm)
-        if res is None:
-            return None
-        return _assemble(model, keep, res.x, fix), res.objective
-
-    if initial_cells is not None:
-        fix = {}
-        for group, j in zip(model.binary_groups, initial_cells):
-            for idx, c in enumerate(group):
-                fix[c] = 0.0 if idx == j else 1.0
-        cand = exact_solve(fix, warm=warm_x)
-        if cand is not None:
-            incumbent, incumbent_obj = cand
-
     counter = itertools.count()
     heap = []
 
-    def push(fixed, warm_x, warm_set, parent_bound):
-        fixed = _forced_fixes(model, fixed)
-        if fixed is None:
-            return
-        res, keep = node_qp(fixed, warm_x, warm_set)
-        if res is None:
-            return
-        if track_bounds and parent_bound is not None:
-            bound_pairs.append((parent_bound, res.objective))
-        if res.objective >= incumbent_obj - tol.miqp_gap:
-            return
-        full = _assemble(model, keep, res.x, fixed)
-        heapq.heappush(heap, (res.objective, next(counter), fixed, full,
-                              res.active_set))
+    def push(fix, warm=None, warm_set=None, leaf_gap=tol.miqp_gap):
+        """Solve the node ``fix``; queue it while a binary is free, else take
+        it as the incumbent when it is lower by more than ``leaf_gap``.
+        Returns the node's objective, or None when it is infeasible."""
+        nonlocal incumbent, incumbent_obj, stalled
+        fix = _implied(groups, fix)
+        if fix is None:
+            return None
+        prob = _node_problem(model, fix, tol)
+        if prob is None:
+            return None
+        res = solve_qp(prob, x0=None if warm is None else warm[_kept(model, fix)],
+                       active_set=warm_set, tol=tol)
+        stalled = stalled or res.status == ITERATION_LIMIT
+        if res.status != OPTIMAL:
+            return None
+        full = _assemble(model, fix, res.x)
+        if np.isnan(fix).any():
+            if res.objective < incumbent_obj - tol.miqp_gap:
+                heapq.heappush(heap, (res.objective, next(counter), fix, full,
+                                      res.active_set))
+        elif res.objective < incumbent_obj - leaf_gap:
+            incumbent, incumbent_obj = full, res.objective
+        return res.objective
+
+    if initial_cells is not None:
+        push(_cell_leaf(model, initial_cells), leaf_gap=0.0)
 
     status = OPTIMAL
-    if budget.max_nodes > 0:
-        root_warm = incumbent if incumbent is not None else warm_x
-        push({}, root_warm, None, None)
+    if budget.max_nodes > 0 or not model.n_bin:    # a binary-free root is a leaf
+        push(np.full(model.n_bin, np.nan), warm=incumbent)
     else:
         # hint-only mode: return the seeded incumbent without exploring
         status = BUDGET_EXCEEDED
@@ -233,26 +212,18 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
                 and (time.perf_counter() - t0) * 1e3 > budget.max_ms):
             status = BUDGET_EXCEEDED
             break
-        bound, _, fixed, xfull, aset = heapq.heappop(heap)
+        bound, _, fix, xfull, aset = heapq.heappop(heap)
         if bound >= incumbent_obj - tol.miqp_gap:
             continue
         nodes += 1
         beta = xfull[model.n_cont:]
-        frac = np.abs(beta - np.round(beta))
-        free_mask = np.array([model.n_cont + k not in fixed
-                              for k in range(model.n_bin)])
-        frac = np.where(free_mask, frac, 0.0)
-        if frac.max(initial=0.0) <= tol.binary_integrality:
-            fix_all = dict(fixed)
-            for k in range(model.n_bin):
-                col = model.n_cont + k
-                if col not in fix_all:
-                    fix_all[col] = float(np.round(beta[k]))
-            cand = exact_solve(fix_all, warm=xfull)
-            if cand is not None and cand[1] < incumbent_obj:
-                incumbent, incumbent_obj = cand
-            if stalled or frac.max(initial=0.0) == 0.0 or (
-                    cand is not None and cand[1] <= bound + tol.miqp_gap):
+        rounded = np.round(beta)
+        free = np.isnan(fix)
+        frac = np.where(free, np.abs(beta - rounded), 0.0)
+        if frac.max() <= tol.binary_integrality:
+            leaf_obj = push(np.where(free, rounded, fix), warm=xfull, leaf_gap=0.0)
+            if stalled or frac.max() == 0.0 or (
+                    leaf_obj is not None and leaf_obj <= bound + tol.miqp_gap):
                 continue
             # the rounded leaf is infeasible, or worse than the node bound,
             # although the relaxation was within the integrality tolerance:
@@ -261,58 +232,40 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
         # most fractional free binary; ties fall to the earlier step via
         # the binary column ordering
         k_star = int(np.argmax(frac))
-        col = model.n_cont + k_star
         for value in (0.0, 1.0):
-            child = dict(fixed)
-            child[col] = value
-            push(child, xfull, aset, bound)
+            child = fix.copy()
+            child[k_star] = value
+            push(child, warm=xfull, warm_set=aset)
 
     if stalled:
         status = BUDGET_EXCEEDED
         best_open = -np.inf      # the stalled subtree has no bound
     else:
         best_open = heap[0][0] if heap else np.inf
-    gap = 0.0 if incumbent is None else max(0.0, incumbent_obj - min(best_open,
-                                                                     incumbent_obj))
     wall = time.perf_counter() - t0
-    diag = {"bound_pairs": bound_pairs} if track_bounds else {}
     if incumbent is None:
-        if status == BUDGET_EXCEEDED:
-            return MiqpResult(BUDGET_EXCEEDED, node_count=nodes, wall_time_s=wall,
-                              diagnostics=diag)
-        return MiqpResult(INFEASIBLE, node_count=nodes, wall_time_s=wall,
-                          diagnostics=diag)
+        return MiqpResult(INFEASIBLE if status == OPTIMAL else status,
+                          node_count=nodes, wall_time_s=wall)
     return MiqpResult(status, x=incumbent[:model.n_cont],
                       beta=incumbent[model.n_cont:], objective=incumbent_obj,
-                      node_count=nodes, wall_time_s=wall, gap=gap,
-                      diagnostics=diag)
+                      node_count=nodes, wall_time_s=wall,
+                      gap=max(0.0, incumbent_obj - best_open))
 
 
 def solve_by_cell_enumeration(model: MiqpModel, tol: Tolerances = DEFAULT,
                               guard: int = ORACLE_GUARD) -> MiqpResult:
     """Exact optimum by enumerating one cell per step and solving each QP."""
     t0 = time.perf_counter()
-    if model.n_bin == 0:
-        res = solve_miqp(model, tol=tol)
-        res.wall_time_s = time.perf_counter() - t0
-        return res
-    groups = model.binary_groups
-    sizes = [len(g) for g in groups]
-    total = 1
-    for s in sizes:
-        total *= s
+    sizes = [len(g) for g in model.binary_groups]
+    total = math.prod(sizes)
     if total > guard:
         raise ValueError(f"{total} cell sequences exceed the oracle guard {guard}")
     best = None
     best_obj = np.inf
-    best_fix = None
     solved = 0
-    for assignment in itertools.product(*[range(s) for s in sizes]):
-        fix = {}
-        for group, j in zip(groups, assignment):
-            for idx, c in enumerate(group):
-                fix[c] = 0.0 if idx == j else 1.0
-        prob, keep = _node_problem(model, fix, tol)
+    for cells in itertools.product(*map(range, sizes)):
+        fix = _cell_leaf(model, cells)
+        prob = _node_problem(model, fix, tol)
         if prob is None:
             continue
         res = solve_qp(prob, tol=tol)
@@ -322,8 +275,7 @@ def solve_by_cell_enumeration(model: MiqpModel, tol: Tolerances = DEFAULT,
                               wall_time_s=time.perf_counter() - t0)
         if res.status == OPTIMAL and res.objective < best_obj:
             best_obj = res.objective
-            best = _assemble(model, keep, res.x, fix)
-            best_fix = fix
+            best = _assemble(model, fix, res.x)
     wall = time.perf_counter() - t0
     if best is None:
         return MiqpResult(INFEASIBLE, node_count=solved, wall_time_s=wall)

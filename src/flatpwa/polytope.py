@@ -2,9 +2,8 @@
 
 Everything is phrased over ``{x : A x <= b}``. The operations are the ones
 the cell-enumeration and error-certification pipeline needs: emptiness,
-intersection, exact vertex enumeration for low dimension, the smallest
-enclosing 1-norm ball of a vertex set, and worst-case row violations over a
-bounded region (big-M sizing).
+intersection, exact vertex enumeration for low dimension, and worst-case
+row violations over a bounded region (big-M sizing).
 """
 
 from __future__ import annotations
@@ -88,7 +87,13 @@ class StackedRows:
     def locate(self, y, tol_feas):
         """Index of the first polytope with the smallest max-residual at y,
         or -1 when that residual exceeds ``tol_feas``. For an (N, dim) batch
-        of points, an array of N indices."""
+        of points, an array of N indices.
+
+        The two forms round residuals differently (matrix-matrix against
+        matrix-vector products), so for a point on a shared facet the batch
+        form can return the other polytope that contains it. Only the
+        single-point form feeds the traces' ``cell_index``; the batch form
+        serves cell hints, where either containing cell will do."""
         y = np.asarray(y, dtype=float)
         worst = np.maximum.reduceat(y @ self.A.T - self.b, self.starts, axis=-1)
         j = worst.argmin(axis=-1)
@@ -212,53 +217,6 @@ def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
     if not pts:
         return VertexSet(np.zeros((0, d)), [])
     return VertexSet(np.array(pts), supports)
-
-
-def min_enclosing_l1_ball(V: VertexSet, center=None):
-    """Smallest 1-norm ball containing every vertex.
-
-    With ``center=None`` the center is optimized too, as an LP over
-    (center, per-vertex per-coordinate absolute-value slacks, radius):
-        t_ki >= +-(v_ki - c_i),  sum_i t_ki <= r,  minimize r.
-    A fixed ``center`` pins the ball (the published per-cell analysis uses
-    the cell's vertex centroid), leaving r = max_k ||v_k - center||_1.
-    """
-    if len(V) == 0:
-        raise ValueError("empty vertex set")
-    if center is not None:
-        center = np.asarray(center, dtype=float)
-        return center, float(np.abs(V.points - center).sum(axis=1).max())
-    pts = V.points
-    k, d = pts.shape
-    # variables: c (d), t (k*d), r
-    nv = d + k * d + 1
-    cost = np.zeros(nv)
-    cost[-1] = 1.0
-    rows = []
-    rhs = []
-    for a in range(k):
-        for i in range(d):
-            # v_ai - c_i <= t_ai   ->  -c_i - t_ai <= -v_ai
-            r1 = np.zeros(nv)
-            r1[i] = -1.0
-            r1[d + a * d + i] = -1.0
-            rows.append(r1)
-            rhs.append(-pts[a, i])
-            # c_i - v_ai <= t_ai
-            r2 = np.zeros(nv)
-            r2[i] = 1.0
-            r2[d + a * d + i] = -1.0
-            rows.append(r2)
-            rhs.append(pts[a, i])
-        r3 = np.zeros(nv)
-        r3[d + a * d:d + (a + 1) * d] = 1.0
-        r3[-1] = -1.0
-        rows.append(r3)
-        rhs.append(0.0)
-    res = solve_lp(LpProblem(cost, G=np.array(rows), h=np.array(rhs)))
-    if res.status != OPTIMAL:
-        raise RuntimeError("enclosing-ball LP failed")
-    return res.x[:d], float(res.x[-1])
 
 
 def row_violations(P: HPolytope, Z: HPolytope) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
@@ -259,19 +258,3 @@ def pwa_lipschitz(d: PwaDecomposition) -> float:
     if not d.pieces:
         raise ValueError("empty decomposition")
     return max(float(np.linalg.norm(p.F, 2)) for p in d.pieces)
-
-
-def region_count_lower_bound(L: int, M: int, n_x: int) -> int:
-    """Lower bound on the maximal number of affine cells of a deep ReLU net
-    with L hidden layers of M neurons on an n_x-dimensional input.
-
-    Evaluated verbatim as (prod_{l=1}^{L-1} floor(M/n_x)^{n_x}) *
-    sum_{j=0}^{n_x} C(L, j); the binomial argument L is kept as printed in
-    the source formula even though arrangement counting would suggest
-    C(M, j). Informational only.
-    """
-    if L < 1 or M < 1 or n_x < 1:
-        raise ValueError("L, M, n_x must all be >= 1")
-    prod = (M // n_x) ** (n_x * (L - 1))
-    total = sum(math.comb(L, j) for j in range(0, n_x + 1))
-    return prod * total

@@ -14,6 +14,10 @@ import numpy as np
 
 from .tolerances import DEFAULT, Tolerances
 
+# slack on the true input bounds and the plant state rows before a sample
+# counts as a violation
+CHECK_MARGIN = 1e-6
+
 
 def rk4_step(f, x, u, h):
     k1 = f(x, u)
@@ -98,13 +102,14 @@ def locate_cell(union, y, tol: Tolerances = DEFAULT):
 
 
 def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
-                    check_margin=1e-6, on_infeasible="raise", stop_when=None):
+                    on_infeasible="raise"):
     """Sample-and-hold closed loop.
 
     ``controller(z, k)`` returns (v, solver_ms, info). Violations are counted
     against the true nonlinear input map and the plant state rows, never the
-    surrogate. ``on_infeasible`` is "raise" or "hold" (reuse previous input);
-    ``stop_when(z)`` ends the run early when it returns True.
+    surrogate. When the controller raises ControllerInfeasible, "raise" ends
+    the run there (``infeasible_at``) and "hold" applies the previous input
+    again, with a solve time of 0.
     """
     x = np.asarray(x0, dtype=float).copy()
     steps = int(round(T_sim / T_s))
@@ -115,23 +120,21 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
     v_prev = None
     for k in range(steps):
         z = plant.to_flat(x)
-        if stop_when is not None and stop_when(z):
-            break
         t = k * T_s
         try:
-            v, ms, info = controller(z, k)
+            v, ms, _ = controller(z, k)
         except ControllerInfeasible:
             if on_infeasible == "hold" and v_prev is not None:
-                v, ms, info = v_prev, 0.0, {"held": True}
+                v, ms = v_prev, 0.0
             else:
                 result.infeasible_at = t
                 break
         v = np.atleast_1d(np.asarray(v, dtype=float))
         u = plant.true_inputs(x, v)
-        if np.any(u > plant.u_max + check_margin) or np.any(u < plant.u_min - check_margin):
+        if np.any(u > plant.u_max + CHECK_MARGIN) or np.any(u < plant.u_min - CHECK_MARGIN):
             result.input_violations += 1
         if plant.state_rows is not None and \
-                np.max(plant.state_rows.A @ z - plant.state_rows.b) > check_margin:
+                np.max(plant.state_rows.A @ z - plant.state_rows.b) > CHECK_MARGIN:
             result.state_violations += 1
         cell = -1
         if union is not None:
@@ -141,7 +144,7 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
         result.solver_ms.append(ms)
         for _ in range(sub):
             x = rk4_step(plant.closed_loop_field, x, v, hh)
-        v_prev = (v, 0.0, {})
+        v_prev = v
     return result
 
 

@@ -64,8 +64,8 @@ def _clf_bigm_model(spec, U, z, plant, big_m):
     rows plus the decrease row, the reference for the per-cell controller."""
     z = np.asarray(z, dtype=float)
     m = plant.B.shape[1]
-    G, h, E, d, n_bin, groups, labels = encode_point(U, z, big_m, plant.input_map,
-                                                     z.size, m)
+    G, h, E, d, n_bin, groups = encode_point(U, z, big_m, plant.input_map,
+                                             z.size, m)
     n = m + n_bin
     row = np.zeros(n)
     row[:m] = 2.0 * plant.B.T @ spec.P @ z
@@ -77,7 +77,7 @@ def _clf_bigm_model(spec, U, z, plant, big_m):
     g[:m] = -2.0 * vd
     return MiqpModel(H=H, g=g, c0=float(vd @ vd), G=np.vstack([G, row]),
                      h=np.append(h, rhs), E=E, d=d, n_cont=m, n_bin=n_bin,
-                     binary_groups=groups, binary_labels=labels)
+                     binary_groups=groups)
 
 
 @pytest.fixture(scope="session")

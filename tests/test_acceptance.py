@@ -211,10 +211,18 @@ def test_c9_clf_decrease(aircraft_union, aircraft_plant):
         ctl = make_clf_controller(spec, aircraft_union, aircraft_plant.A,
                                   aircraft_plant.B,
                                   input_map=aircraft_plant.input_map)
+        reached = []
+
+        def until_origin(z, k, ctl=ctl, reached=reached):
+            # the runner ends a run at the first ControllerInfeasible
+            if np.linalg.norm(z) <= 1e-3:
+                reached.append(k)
+                raise ControllerInfeasible("reached the origin")
+            return ctl(z, k)
+
         try:
-            res = run_closed_loop(aircraft_plant, ctl, z0, T_sim=8.0, T_s=T_s,
-                                  h=T_s,
-                                  stop_when=lambda z: np.linalg.norm(z) <= 1e-3)
+            res = run_closed_loop(aircraft_plant, until_origin, z0, T_sim=8.0,
+                                  T_s=T_s, h=T_s)
         except ControllerInfeasible:
             continue  # draw again: the state was not admissible
         tried += 1
@@ -225,8 +233,8 @@ def test_c9_clf_decrease(aircraft_union, aircraft_plant):
         active = norms[:-1] > 1e-3
         if active.any():
             worst_dv = max(worst_dv, float(dV[active].max()))
-        # the runner stops one sample before recording the sub-threshold state
-        reached_all &= bool(len(zs) < int(8.0 / T_s) or norms.min() <= 1e-3)
+        # the run ends at the first sub-threshold state, before recording it
+        reached_all &= bool(reached)
     ok = ver["pass"] and worst_dv < 1e-9 and reached_all
     report(9, ok, f"verify_clf pass={ver['pass']}; 20 trajectories at 1 kHz, "
                   f"worst dV = {worst_dv:.2e} (< 1e-9 slack)")

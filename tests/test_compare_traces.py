@@ -1,0 +1,38 @@
+import subprocess
+import sys
+from pathlib import Path
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_traces.py"
+HEADER = "t,x1,z1,u1,v1,cell_index,solver_ms\n"
+BASE = ["0.000000,0.1,0.1,0.5,0.2,0,1.234",
+        "0.100000,0.2,0.2,0.4,0.1,1,0.900"]
+
+
+def _tree(root, traces):
+    for name, rows in traces.items():
+        (root / name).mkdir(parents=True)
+        (root / name / "trace.csv").write_text(HEADER + "".join(r + "\n" for r in rows))
+    return root
+
+
+def _compare(a, b):
+    out = subprocess.run([sys.executable, str(TOOL), str(a), str(b)],
+                         capture_output=True, text=True)
+    return out.returncode, out.stdout
+
+
+def test_compare_traces(tmp_path):
+    a = _tree(tmp_path / "a", {"s1": BASE, "s2": BASE})
+    # only the wall-clock column differs
+    other_clock = [r.replace("1.234", "9.999") for r in BASE]
+    code, out = _compare(a, _tree(tmp_path / "b", {"s1": other_clock, "s2": BASE}))
+    assert code == 0 and out.count("bit-identical") == 2
+    moved = [BASE[0], BASE[1].replace(",0.1,1,", ",0.15,1,")]
+    code, out = _compare(a, _tree(tmp_path / "c", {"s1": moved, "s2": BASE}))
+    assert code == 0 and "s1: v1 max |delta| 0.05\n" in out
+    recelled = [BASE[0], BASE[1].replace(",1,0.900", ",2,0.900")]
+    code, out = _compare(a, _tree(tmp_path / "d", {"s1": recelled, "s2": BASE}))
+    assert code == 1 and "s1: cell_index differs at 1 steps (first: [1])" in out
+    code, out = _compare(a, _tree(tmp_path / "e", {"s1": BASE}))
+    assert code == 1 and "s2: missing" in out
+    assert _compare(tmp_path / "none", tmp_path / "none")[0] == 2

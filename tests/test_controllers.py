@@ -89,15 +89,15 @@ def test_clf_step_matches_oracle(clf_spec, aircraft_union, aircraft_bigm,
 def test_clf_step_near_integral_relaxation(clf_spec, aircraft_union,
                                            aircraft_bigm, aircraft_plant,
                                            clf_bigm_model):
-    # the big-M CLF program, warm started from cell 0, which is infeasible
-    # here: the root relaxation keeps that cell's binary within the
-    # integrality tolerance of 0 (big-M 5000 turns it into real slack);
-    # branch and bound must branch on it, not drop the node
-    z = np.array([0.19870512717486002, -0.06343216961189396])
-    warm = np.array([-0.48184819089523845, 0.0, 1.0, 1.0])
+    # the big-M CLF program with the hint cell 0, feasible here but not
+    # optimal: its leaf warm starts the root, whose relaxation keeps that
+    # cell's binary within the integrality tolerance of 0 (big-M 5000 turns
+    # it into real slack); branch and bound must branch on it, not close the
+    # node with the rounded leaf
+    z = np.array([0.19187548340386262, 0.47398440485235516])
     model = clf_bigm_model(clf_spec, aircraft_union, z, aircraft_plant,
                            aircraft_bigm)
-    res = solve_miqp(model, initial_cells=[0], warm_x=warm)
+    res = solve_miqp(model, initial_cells=[0])
     oracle = solve_by_cell_enumeration(model)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(oracle.objective, abs=1e-7)
@@ -172,8 +172,9 @@ def test_clf_step_solves_one_qp_per_cell(monkeypatch, clf_spec, aircraft_union,
     assert min(seen.values()) >= 20, seen
 
 
-def test_clf_argmin_invariance_under_cost_scaling(clf_spec, aircraft_union,
-                                                  aircraft_plant):
+def test_clf_argmin_invariance_under_lyapunov_scaling(clf_spec, aircraft_union,
+                                                      aircraft_plant):
+    # P -> lam P scales both sides of the decrease row: the same program
     rng = np.random.default_rng(23)
     checked = 0
     for _ in range(100):
@@ -184,9 +185,10 @@ def test_clf_argmin_invariance_under_cost_scaling(clf_spec, aircraft_union,
         except ControllerInfeasible:
             continue
         for lam in (0.5, 3.0):
-            scaled = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                              aircraft_plant.B, input_map=aircraft_plant.input_map,
-                              cost_scale=lam)
+            spec = ClfSpec(P=lam * clf_spec.P, gamma=clf_spec.gamma,
+                           gain=clf_spec.gain)
+            scaled = clf_step(spec, aircraft_union, z, aircraft_plant.A,
+                              aircraft_plant.B, input_map=aircraft_plant.input_map)
             assert scaled.v[0] == pytest.approx(base.v[0], abs=1e-6)
         checked += 1
     assert checked >= 80

@@ -10,7 +10,8 @@ from flatpwa.plants.pmsm import (PmsmParams, pmsm_from_flat, pmsm_phi,
 from flatpwa.plants.uav import (UavParams, accel_polygon,
                                 accel_polygon_vertices, uav_phi)
 from flatpwa.polytope import vertices
-from flatpwa.simulate import rk4_discretize, rk4_integrate, rk4_step
+from flatpwa.simulate import (ControllerInfeasible, rk4_discretize, rk4_integrate,
+                              rk4_step, run_closed_loop)
 
 PARAMS = AircraftParams()
 
@@ -193,3 +194,21 @@ def test_rk4_constant_field():
 def test_rk4_step_validation():
     with pytest.raises(ValueError):
         rk4_integrate(lambda x, u: x, np.ones(1), lambda t: 0.0, T=1.0, h=0.3)
+
+
+def test_closed_loop_hold_repeats_previous_input(aircraft_plant):
+    T_s = 0.1
+
+    def controller(z, k):
+        if k == 2:
+            raise ControllerInfeasible("no admissible input")
+        return np.array([0.1 * (k + 1)]), 1.0, {}
+
+    held = run_closed_loop(aircraft_plant, controller, np.zeros(2), T_sim=0.5,
+                           T_s=T_s, on_infeasible="hold")
+    assert held.infeasible_at is None and len(held.records) == 5
+    assert np.array_equal(held.records[2].v, held.records[1].v)
+    assert held.records[2].solver_ms == 0.0
+    raised = run_closed_loop(aircraft_plant, controller, np.zeros(2), T_sim=0.5,
+                             T_s=T_s)
+    assert raised.infeasible_at == 2 * T_s and len(raised.records) == 2

@@ -5,7 +5,7 @@ import pytest
 
 from flatpwa.miencoding import (BigMData, build_admissible_union, compute_big_m,
                                 encode_horizon, encode_point, encode_step,
-                                export_model_text, validate_big_m_override)
+                                validate_big_m_override)
 from flatpwa.polytope import HPolytope
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.simulate import rk4_discretize
@@ -121,7 +121,7 @@ def test_encode_point_forces_unique_cell(aircraft_union, aircraft_bigm,
     center, _ = chebyshev_center(aircraft_union.cells[target].polytope)
     z = np.array([center[0], 0.0])
     v = np.array([center[1]])
-    G, h, E, d, n_bin, groups, labels = encode_point(
+    G, h, E, d, n_bin, groups = encode_point(
         aircraft_union, z, aircraft_bigm, aircraft_plant.input_map, 2, 1)
     feasible = []
     for bits in itertools.product([0.0, 1.0], repeat=n_bin):
@@ -180,7 +180,7 @@ def test_union_membership_soundness(aircraft_union, aircraft_bigm,
                                     aircraft_plant):
     # integral beta + feasible rows => the point is inside exactly one member
     rng = np.random.default_rng(2)
-    G, h, E, d, n_bin, groups, labels = encode_point(
+    G, h, E, d, n_bin, groups = encode_point(
         aircraft_union, np.array([0.0, 0.0]), aircraft_bigm,
         aircraft_plant.input_map, 2, 1)
     hits = 0
@@ -210,15 +210,3 @@ def test_relaxation_containment(aircraft_union, aircraft_bigm, aircraft_plant):
     relaxed = x.copy()
     relaxed[m.n_cont:] = np.clip(relaxed[m.n_cont:], 0.0, 1.0)
     assert np.max(m.G @ relaxed - m.h) <= 1e-8
-
-
-def test_export_model_text():
-    net, d = identity_pwa()
-    U = build_admissible_union(d, u_max=1.0, eps=0.0)
-    bigm = BigMData.uniform(U, 10.0)
-    m = encode_horizon(U, 1, [[1.0]], [[1.0]], [[1.0]], [[1.0]], [0.0], bigm,
-                       input_map=np.array([[0.0, 1.0]]))
-    text = export_model_text(m)
-    assert "MIQP model" in text and "subject to:" in text
-    assert text.count("<=") == m.G.shape[0]
-    assert text.count("==") == m.E.shape[0]

@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from flatpwa import miqpsolver
 from flatpwa.miencoding import (BigMData, MiqpModel, build_admissible_union,
-                                encode_horizon)
-from flatpwa.miqpsolver import (BUDGET_EXCEEDED, SolveBudget,
+                                compute_big_m, encode_horizon)
+from flatpwa.miqpsolver import (BUDGET_EXCEEDED, SolveBudget, _node_problem,
                                 solve_by_cell_enumeration, solve_miqp)
 from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem,
                                solve_qp)
 from flatpwa.polytope import HPolytope
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.simulate import rk4_discretize
+from flatpwa.tolerances import DEFAULT
 
 
 def aircraft_model(union, bigm, plant, N_p, z0):
@@ -22,15 +24,19 @@ def aircraft_model(union, bigm, plant, N_p, z0):
                           input_map=plant.input_map)
 
 
-def test_single_cell_model_reduces_to_qp():
+def test_single_cell_model_reduces_to_qp(monkeypatch):
     net = ReluNetwork(W1=[[1.0]], b1=[10.0], W2=[[1.0]], b2=[-10.0])
     d = enumerate_cells(net, HPolytope.box([-1.0], [1.0]))
     U = build_admissible_union(d, u_max=1.0, eps=0.0)
     bigm = BigMData.uniform(U, 10.0)
     m = encode_horizon(U, 1, [[1.0]], [[1.0]], [[1.0]], [[1.0]], [0.5], bigm,
                        input_map=np.array([[0.0, 1.0]]))
+    calls = []
+    monkeypatch.setattr(miqpsolver, "solve_qp",
+                        lambda prob, **kw: calls.append(1) or solve_qp(prob, **kw))
     res = solve_miqp(m)
     assert res.status == OPTIMAL and m.n_bin == 0
+    assert len(calls) == 1         # the root is the only leaf
     qp = solve_qp(QpProblem(H=m.H, g=m.g, G=m.G, h=m.h, E=m.E, d=m.d, c0=m.c0))
     assert res.objective == pytest.approx(qp.objective, abs=1e-9)
 
@@ -80,14 +86,57 @@ def test_branch_and_bound_matches_oracle(aircraft_union, aircraft_bigm,
     assert agree >= 10  # the draw box straddles the feasible set
 
 
+# random one-hidden-layer nets over (z, v) in [-1, 1]^2, a single integrator
+# z+ = z + v/2, and z0 reaching beyond the box, where no cell is feasible
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n1=st.integers(2, 4),
+       N_p=st.integers(1, 3), u_max=st.floats(0.2, 2.0),
+       z0=st.floats(-1.2, 1.2))
+def test_branch_and_bound_matches_oracle_on_random_unions(seed, n1, N_p, u_max,
+                                                          z0):
+    rng = np.random.default_rng(seed)
+    net = ReluNetwork(W1=rng.normal(size=(n1, 2)), b1=rng.normal(scale=0.5, size=n1),
+                      W2=rng.normal(size=(1, n1)), b2=[0.0])
+    box = HPolytope.box([-1.0, -1.0], [1.0, 1.0])
+    try:
+        U = build_admissible_union(enumerate_cells(net, box), u_max=u_max, eps=0.0)
+    except ValueError:          # the bound empties every cell
+        U = []
+    assume(len(U) >= 2)
+    m = encode_horizon(U, N_p, [[1.0]], [[0.5]], [[1.0]], [[0.1]], [z0],
+                       compute_big_m(U, box))
+    bb = solve_miqp(m)
+    oracle = solve_by_cell_enumeration(m)
+    assert bb.status == oracle.status
+    if bb.status == OPTIMAL:
+        assert bb.objective == pytest.approx(oracle.objective, abs=1e-5)
+        x = np.concatenate([bb.x, bb.beta])
+        assert np.max(m.G @ x - m.h) <= 1e-8
+        assert np.isin(bb.beta, (0.0, 1.0)).all()
+
+
 def test_monotone_bounds_along_tree(aircraft_union, aircraft_bigm,
                                     aircraft_plant):
+    # fixing one more binary never lowers the node relaxation: random paths
+    # from the root to a leaf, one binary fixed per step
     m = aircraft_model(aircraft_union, aircraft_bigm, aircraft_plant, 3,
                        [0.2, 0.5])
-    res = solve_miqp(m, track_bounds=True)
-    assert res.status == OPTIMAL
-    for parent, child in res.diagnostics["bound_pairs"]:
-        assert child >= parent - 1e-8
+    assert solve_miqp(m).status == OPTIMAL
+    rng = np.random.default_rng(3)
+    checked = 0
+    for _ in range(12):
+        node = np.full(m.n_bin, np.nan)
+        parent = solve_qp(_node_problem(m, node, DEFAULT)).objective
+        for k in rng.permutation(m.n_bin):
+            node[k] = float(rng.integers(0, 2))
+            prob = _node_problem(m, node, DEFAULT)
+            res = None if prob is None else solve_qp(prob)
+            if res is None or res.status != OPTIMAL:
+                break          # an infeasible node ends its path
+            assert res.objective >= parent - 1e-8
+            parent = res.objective
+            checked += 1
+    assert checked >= 20
 
 
 def test_incumbent_feasibility(aircraft_union, aircraft_bigm, aircraft_plant):
@@ -177,7 +226,8 @@ def test_near_integral_root_with_worse_feasible_leaf_is_branched():
     assert 0.0 < root.x[1] <= 1e-6 and root.objective < 1e-6
     oracle = solve_by_cell_enumeration(m)
     assert oracle.objective == pytest.approx(0.0, abs=1e-9)
-    res = solve_miqp(m, initial_cells=[0], warm_x=np.array([1.0, 0.0, 1.0]))
+    # the hint leaf (cell 0) is the root's warm start
+    res = solve_miqp(m, initial_cells=[0])
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(oracle.objective, abs=1e-6)
     assert res.cell_sequence(m) == [1]

@@ -3,8 +3,7 @@ import pytest
 
 from flatpwa.miencoding import build_admissible_union
 from flatpwa.polytope import (HPolytope, StackedRows, chebyshev_center, find_point,
-                              intersect, is_empty, max_row_violation,
-                              min_enclosing_l1_ball, vertices)
+                              intersect, is_empty, max_row_violation, vertices)
 
 
 def unit_box(d=2):
@@ -105,26 +104,6 @@ def test_vertices_are_extreme():
             assert not (P.contains(v + 1e-5 * d) and P.contains(v - 1e-5 * d))
 
 
-def test_l1_ball_single_point():
-    from flatpwa.polytope import VertexSet
-    c, r = min_enclosing_l1_ball(VertexSet(np.array([[2.0, -1.0]])))
-    assert np.allclose(c, [2.0, -1.0]) and r == pytest.approx(0.0, abs=1e-9)
-
-
-def test_l1_ball_unit_box():
-    c, r = min_enclosing_l1_ball(vertices(unit_box()))
-    assert np.allclose(c, [0.0, 0.0], atol=1e-7)
-    assert r == pytest.approx(2.0, abs=1e-8)
-
-
-def test_l1_ball_tightness():
-    V = vertices(HPolytope.box([-1.0, -2.0], [3.0, 0.5]))
-    c, r = min_enclosing_l1_ball(V)
-    dists = np.abs(V.points - c).sum(axis=1)
-    assert dists.max() <= r + 1e-8
-    assert dists.max() >= r - 1e-6
-
-
 def test_l1_ball_aircraft_cells_match_published_table(aircraft_cells):
     # the published per-cell analysis centers the ball at the vertex centroid
     # of the tightened cells (output bound 4, margin 0.1897)
@@ -132,9 +111,8 @@ def test_l1_ball_aircraft_cells_match_published_table(aircraft_cells):
     rows = []
     for cell in union.cells:
         V = vertices(cell.polytope)
-        center = V.points.mean(axis=0)
-        c, r = min_enclosing_l1_ball(V, center=center)
-        rows.append((c, r))
+        c = V.points.mean(axis=0)
+        rows.append((c, np.abs(V.points - c).sum(axis=1).max()))
     by_center_z = sorted(rows, key=lambda cr: cr[0][0])
     expect = [((-0.2732, 0.9732), 3.6495),
               ((-0.0019, -0.2092), 4.9177),

@@ -7,8 +7,7 @@ import pytest
 from flatpwa.plants.aircraft import aircraft_phi
 from flatpwa.polytope import chebyshev_center
 from flatpwa.relupwa import (ReluNetwork, enumerate_cells, forward, pwa_eval,
-                             pwa_eval_batch, pwa_lipschitz,
-                             region_count_lower_bound)
+                             pwa_eval_batch, pwa_lipschitz)
 
 
 def test_forward_zero_weights_returns_bias():
@@ -181,17 +180,6 @@ def test_pwa_lipschitz_fully_linear():
 
 def test_pwa_lipschitz_aircraft(aircraft_cells):
     assert pwa_lipschitz(aircraft_cells) == pytest.approx(7.29, abs=0.01)
-
-
-def test_region_count_lower_bound_values():
-    assert region_count_lower_bound(1, 3, 2) == 2
-    assert region_count_lower_bound(1, 1, 1) == 2
-    assert region_count_lower_bound(2, 4, 2) == 16
-
-
-def test_region_count_validates():
-    with pytest.raises(ValueError):
-        region_count_lower_bound(0, 3, 2)
 
 
 def test_weights_file_roundtrip(tmp_path, aircraft_net):
