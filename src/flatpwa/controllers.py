@@ -22,7 +22,7 @@ from .miencoding import (AdmissibleUnion, BigMData, HorizonStructure, MiqpModel,
 # not called here: the benchmark's tracer rebinds these names in this module
 from .miencoding import encode_horizon, encode_point  # noqa: F401
 from .miqpsolver import MiqpResult, SolveBudget, solve_miqp
-from .numkernel import ITERATION_LIMIT, OPTIMAL, QpProblem, eig_sym, solve_qp
+from .numkernel import ITERATION_LIMIT, OPTIMAL, QpMatrices, QpProblem, eig_sym, solve_qp
 from .polytope import HPolytope
 from .simulate import ControllerInfeasible
 from .tolerances import DEFAULT, Tolerances
@@ -131,20 +131,25 @@ def _best_cell(order, cell_problem, tol: Tolerances):
 
 def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
              tol: Tolerances = DEFAULT,
-             first_cell: int | None = None) -> ClfStepResult:
+             first_cell: int | None = None,
+             cost: QpMatrices | None = None) -> ClfStepResult:
     """Project the desired input onto the stabilizing admissible set.
 
     min ||v - v_d(z)||^2 s.t. (z, v) in the union and
     2 z'P(Az + Bv) <= -gamma z'P z, solved as one QP over v per cell: that
     cell's rows with z substituted, plus the decrease row. ``first_cell``
     (the previous sample's cell) is tried first, then the others in index
-    order. Raises ControllerInfeasible when no cell is feasible.
+    order. Raises ControllerInfeasible when no cell is feasible. ``cost``
+    is ``QpMatrices.of(2 I_m, tol=tol)``, the record of the cost, built
+    once by a controller; without it, it is built here.
     """
     z = np.asarray(z, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_z = z.size
     m = B.shape[1]
+    if cost is None:
+        cost = QpMatrices.of(2.0 * np.eye(m), tol=tol)
     S = np.eye(n_z + m) if input_map is None else np.asarray(input_map, dtype=float)
     rows = U.stacked
     lifted = rows.A @ S
@@ -154,14 +159,13 @@ def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
     clf_row = 2.0 * B.T @ spec.P @ z
     clf_rhs = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ A @ z)
     vd = spec.v_d(z)
-    H = 2.0 * np.eye(m)
     g = -2.0 * vd
     c0 = float(vd @ vd)
 
     def cell_problem(j):
         cell = slice(rows.starts[j], ends[j])
-        return QpProblem(H=H, g=g, G=np.vstack([G[cell], clf_row]),
-                         h=np.append(h[cell], clf_rhs), c0=c0, tol=tol)
+        return QpProblem(g=g, h=np.append(h[cell], clf_rhs), c0=c0, tol=tol,
+                         matrices=cost.with_rows(np.vstack([G[cell], clf_row])))
 
     order = list(range(len(U)))
     if first_cell is not None:
@@ -234,9 +238,38 @@ class FlmpcStepResult:
     first_input_value: np.ndarray   # true Phi at (z0, v0), for the post-hoc check
 
 
+@dataclass(frozen=True)
+class FlmpcStructure:
+    """The sample-independent part of the FL-MPC step, built once per
+    controller: the horizon structure without the union, and per cell the
+    matrix record of its first-step program (the base H and E; the base
+    rows plus that cell's rows on (z_0, v_0))."""
+
+    horizon: HorizonStructure
+    cells: tuple
+
+
+def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
+                    tol: Tolerances = DEFAULT) -> FlmpcStructure:
+    horizon = mpc_structure(spec, None, None)
+    t = horizon.template
+    n_z, m = t.meta["n_z"], t.meta["m"]
+    zeta_cols = np.concatenate([np.arange(n_z),
+                                np.arange(n_z * (spec.N_p + 1),
+                                          n_z * (spec.N_p + 1) + m)])
+    S = np.eye(n_z + m) if spec.input_map is None else spec.input_map
+    base = QpMatrices.of(t.H, E=t.E, tol=tol)
+    cells = []
+    for c in U.cells:
+        rows = np.zeros((c.polytope.num_rows, t.n_cont))
+        rows[:, zeta_cols] = c.polytope.A @ S
+        cells.append(base.with_rows(np.vstack([t.G, rows])))
+    return FlmpcStructure(horizon=horizon, cells=tuple(cells))
+
+
 def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
                z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
-               structure: HorizonStructure | None = None) -> FlmpcStepResult:
+               structure: FlmpcStructure | None = None) -> FlmpcStepResult:
     """FL-MPC baseline: input constrained at step 0 only.
 
     The nonlinear first-input constraint |Phi(z0, v0)| <= u_bar is enforced
@@ -245,26 +278,16 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
     re-checked against the true map by the caller. Later forecast steps only
     carry the state rows, so their implied inputs may violate the true bound
     -- that is the point of the baseline. ``structure`` is
-    ``mpc_structure(spec, None, None)``, built once by a controller, or
-    here when not given.
+    ``flmpc_structure(spec, U, tol)``, built once by a controller, or here
+    when not given.
     """
     if structure is None:
-        structure = mpc_structure(spec, None, None)
-    base = structure.instantiate(z0, z_ref, v_ref)
-    n_z = base.meta["n_z"]
-    m = base.meta["m"]
-    zeta_cols = np.concatenate([np.arange(n_z),
-                                np.arange(n_z * (spec.N_p + 1),
-                                          n_z * (spec.N_p + 1) + m)])
-    S = np.eye(n_z + m) if spec.input_map is None else spec.input_map
+        structure = flmpc_structure(spec, U, tol)
+    base = structure.horizon.instantiate(z0, z_ref, v_ref)
 
     def cell_problem(j):
-        cell = U.cells[j].polytope
-        rows = np.zeros((cell.num_rows, base.n_cont))
-        rows[:, zeta_cols] = cell.A @ S
-        return QpProblem(H=base.H, g=base.g, G=np.vstack([base.G, rows]),
-                         h=np.concatenate([base.h, cell.b]),
-                         E=base.E, d=base.d, c0=base.c0)
+        return QpProblem(g=base.g, h=np.concatenate([base.h, U.cells[j].polytope.b]),
+                         d=base.d, c0=base.c0, tol=tol, matrices=structure.cells[j])
 
     best = _best_cell(range(len(U)), cell_problem, tol)
     if best is None:
@@ -282,11 +305,12 @@ def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None,
 
     Each sample tries the previous sample's cell first."""
     state = {"cell": None}
+    cost = QpMatrices.of(2.0 * np.eye(np.atleast_2d(B).shape[1]), tol=tol)
 
     def controller(z, k):
         t0 = time.perf_counter()
         out = clf_step(spec, U, z, A, B, input_map=input_map, tol=tol,
-                       first_cell=state["cell"])
+                       first_cell=state["cell"], cost=cost)
         ms = (time.perf_counter() - t0) * 1e3
         state["cell"] = out.cell
         return out.v, ms, {"cell": out.cell}
@@ -322,7 +346,7 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
 
 def make_flmpc_controller(spec: MpcSpec, U, phi, refs=None,
                           tol: Tolerances = DEFAULT):
-    structure = mpc_structure(spec, None, None)
+    structure = flmpc_structure(spec, U, tol)
 
     def controller(z, k):
         z_ref = v_ref = None

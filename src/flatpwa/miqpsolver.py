@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .miencoding import MiqpModel
-from .numkernel import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem, solve_qp
+from .numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpMatrices, QpProblem,
+                        solve_qp)
 from .tolerances import DEFAULT, Tolerances
 
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -101,20 +102,42 @@ def _assemble(model: MiqpModel, fix, x_node):
     return full
 
 
+def _node_matrices(model: MiqpModel, is_free, tol: Tolerances):
+    """(record, live equality rows) of the node QPs whose free binaries are
+    ``is_free``: they depend on nothing else, so the structure's store
+    builds them the first time that set occurs."""
+    blocks = model.blocks
+
+    def build():
+        nc = model.n_cont
+        free = np.flatnonzero(is_free)
+        if free.size:
+            E_free = blocks.Eb[:, free]
+            live = ~blocks.e_const | E_free.any(axis=1)
+            E = np.hstack([blocks.Ec, E_free])[live]
+            G = np.hstack([blocks.Gc, model.G[:, nc + free]])
+            H = np.zeros((nc + free.size, nc + free.size))
+            H[:nc, :nc] = model.H[:nc, :nc]
+        else:
+            live = ~blocks.e_const
+            E, G, H = blocks.Ec_live, blocks.Gc, model.H[:nc, :nc]
+        return QpMatrices.of(H, G, E if E.shape[0] else None, tol), live
+
+    return blocks.records.get((is_free.tobytes(), tol), build)
+
+
 def _node_problem(model: MiqpModel, fix, tol: Tolerances):
     """QP over [x; free binaries] with fixed binaries substituted out.
 
-    Assembled from ``model.blocks``: a fixed binary moves the right-hand
-    side of its one row, and with every binary fixed G, E and H are the
-    continuous blocks themselves, uncopied. Rows are kept in place (vacuous
-    ones become zero rows) so that active-set row indices stay valid across
-    the whole tree. Returns None when a constant row is already violated.
+    Its matrices come from ``_node_matrices``, so with every binary fixed G
+    is ``blocks.Gc`` itself, uncopied; a fixed binary moves the right-hand
+    side of its one row. Rows are kept in place (vacuous ones become zero
+    rows) so that active-set row indices stay valid across the whole tree.
+    Returns None when a constant row is already violated.
     """
     blocks = model.blocks
-    nc = model.n_cont
     is_free = np.isnan(fix)
     value = np.where(is_free, 0.0, fix)
-    free = np.flatnonzero(is_free)
 
     row_free = is_free[blocks.bin_col]
     moved = ~row_free
@@ -126,25 +149,13 @@ def _node_problem(model: MiqpModel, fix, tol: Tolerances):
         return None
     h[const] = np.maximum(h[const], 0.0)
 
+    mats, live = _node_matrices(model, is_free, tol)
     d = model.d - blocks.Eb @ value
-    if free.size:
-        E_free = blocks.Eb[:, free]
-        const = blocks.e_const & ~E_free.any(axis=1)
-    else:
-        const = blocks.e_const
-    if (np.abs(d[const]) > tol.feas).any():
+    if (np.abs(d[~live]) > tol.feas).any():
         return None
-    d = d[~const]
-    if free.size:
-        E = np.hstack([blocks.Ec, E_free])[~const]
-        G = np.hstack([blocks.Gc, model.G[:, nc + free]])
-        H = np.zeros((nc + free.size, nc + free.size))
-        H[:nc, :nc] = model.H[:nc, :nc]
-        g = np.concatenate([model.g[:nc], np.zeros(free.size)])
-    else:
-        E, G, H, g = blocks.Ec_live, blocks.Gc, model.H[:nc, :nc], model.g[:nc]
-    return QpProblem(H=H, g=g, G=G, h=h, E=E if E.shape[0] else None,
-                     d=d if E.shape[0] else None, c0=model.c0, tol=tol)
+    g = np.concatenate([model.g[:model.n_cont], np.zeros(mats.n - model.n_cont)])
+    return QpProblem(g=g, h=h, d=None if mats.E is None else d[live],
+                     c0=model.c0, tol=tol, matrices=mats)
 
 
 def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,

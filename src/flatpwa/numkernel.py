@@ -8,6 +8,12 @@ feasible start, so no QP calls the LP backend; infeasibility and the
 iteration cap come back as statuses, and a branch-and-bound child warm
 starts from its parent's working set.
 
+What a QP's matrices alone determine (the checks on H, G and E, G's row
+norms and the factors of H and E) is one ``QpMatrices`` record. A
+controller poses QPs of few structures and each recurs at every sample, so
+whoever owns the matrices builds the record once and passes it to every
+``QpProblem`` that shares them; a one-off QP builds its record on the spot.
+
 Conventions
 -----------
 LP:  min c'x   s.t.  G x <= h,  E x = d,  optional per-variable bounds.
@@ -16,8 +22,8 @@ QP:  min 1/2 x'H x + g'x + c0   s.t.  G x <= h,  E x = d,  with H >= 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import linprog
@@ -118,41 +124,38 @@ def solve_lp(p: LpProblem) -> LpResult:
 class QpProblem:
     """min 1/2 x'H x + g'x + c0 subject to G x <= h, E x = d.
 
-    H must be symmetric within ``tol.sym`` and positive semidefinite
-    (smallest eigenvalue >= -tol.psd * ||H||).
+    The matrices come either as H, G and E, checked and factored here by
+    ``QpMatrices.of``, or as ``matrices``, a record built once for every QP
+    that shares them; either way ``H``, ``G`` and ``E`` are the record's.
     """
 
-    H: np.ndarray
-    g: np.ndarray
+    H: np.ndarray | None = None
+    g: np.ndarray | None = None
     G: np.ndarray | None = None
     h: np.ndarray | None = None
     E: np.ndarray | None = None
     d: np.ndarray | None = None
     c0: float = 0.0
     tol: Tolerances = field(default=DEFAULT, repr=False)
+    matrices: QpMatrices | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        self.H = _as_matrix(self.H, "H")
+        if self.matrices is None:
+            self.matrices = QpMatrices.of(self.H, self.G, self.E, self.tol)
+        elif not (self.H is None and self.G is None and self.E is None):
+            raise ValueError("give H, G and E or their record, not both")
+        mats = self.matrices
+        self.H, self.G, self.E = mats.H, mats.G, mats.E
         self.g = _as_vector(self.g, "g")
-        n = self.g.size
-        if self.H.shape != (n, n):
+        if self.g.size != mats.n:
             raise ValueError("H must be square and match g")
-        scale = max(1.0, float(np.abs(self.H).max()))
-        if np.abs(self.H - self.H.T).max() > self.tol.sym * scale:
-            raise ValueError("H is not symmetric")
-        self.H = 0.5 * (self.H + self.H.T)
-        lam_min = float(np.linalg.eigvalsh(self.H)[0])
-        if lam_min < -self.tol.psd * scale:
-            raise ValueError(f"H is not positive semidefinite (lambda_min={lam_min:g})")
         if self.G is not None:
-            self.G = _as_matrix(self.G, "G")
             self.h = _as_vector(self.h, "h")
-            if self.G.shape != (self.h.size, n):
+            if self.h.size != self.G.shape[0]:
                 raise ValueError("inconsistent inequality dimensions")
         if self.E is not None:
-            self.E = _as_matrix(self.E, "E")
             self.d = _as_vector(self.d, "d")
-            if self.E.shape != (self.d.size, n):
+            if self.d.size != self.E.shape[0]:
                 raise ValueError("inconsistent equality dimensions")
 
     @property
@@ -234,35 +237,115 @@ def _inverse_factor(Hr, Z, tol):
     return (Z @ V) / np.sqrt(lam)
 
 
-@lru_cache(maxsize=64)
-def _cost_factors(H_bytes, E_bytes, n, tol):
-    """Everything the QP kernel derives from H and E alone.
+def _columns(M, n, name, kind):
+    M = _as_matrix(M, name)
+    if M.shape[1] != n:
+        raise ValueError(f"inconsistent {kind} dimensions")
+    return M
 
-    A controller poses QPs of few structures: each set of fixed binaries
-    is one (its columns and all-zero equality rows drop out), and it recurs
-    at every sample. This is memoised on the bytes of H and E. Over a
-    benchmark run the CLF poses 3 structures, the aircraft MPC 15, the UAV
-    1 and the PMSM MPC 65, the most of the shipped scenarios; 64 entries
-    hold them (hit rates 99.9, 99.5, 99 and 93 %). Returns (Z, P, scale, prox, rho, Hr, J) with read-only arrays:
-    null space and multiplier map of E, max(1, |H|), the proximal columns,
-    their per-column weights, the regularised cost and its inverse factor.
-    """
-    H = np.frombuffer(H_bytes).reshape(n, n)
-    E = np.frombuffer(E_bytes).reshape(-1, n) if E_bytes else None
-    Z, P = _equality_space(E, n, tol)
-    scale = max(1.0, float(np.abs(H).max()))
-    # if the cost is singular on the equality null space beyond the relaxed
-    # binaries, fall back to the proximal term on every column
-    for prox in (_prox_columns(H, E), np.ones(n, dtype=bool)):
-        rho = tol.qp_prox * scale * prox
-        Hr = H + np.diag(rho)
-        J = _inverse_factor(Hr, Z, tol)
-        if J is not None:
-            break
-    for a in (Z, P, prox, rho, Hr, J):
+
+def _read_only(*arrays):
+    for a in arrays:
         if a is not None:
             a.flags.writeable = False
-    return Z, P, scale, prox, rho, Hr, J
+
+
+@dataclass(frozen=True, eq=False)
+class QpMatrices:
+    """What a QP's matrices alone determine, checked and derived once.
+
+    ``of`` checks that H, G and E are finite with agreeing shapes and that H
+    is symmetric within ``tol.sym`` and positive semidefinite (smallest
+    eigenvalue >= -tol.psd * max(1, |H|)); H is kept as its symmetric part.
+    Derived, read-only: ``inv``, G's inverse row norms, and what the dual
+    active-set method takes from H and E: the null space ``Z`` and
+    multiplier map ``P`` of E, ``scale`` = max(1, |H|), the proximal
+    columns ``prox`` and their weights ``rho``, the regularised cost ``Hr``
+    and its inverse factor ``J``, all for the tolerances given to ``of``.
+    """
+
+    H: np.ndarray
+    G: np.ndarray | None
+    E: np.ndarray | None
+    inv: np.ndarray
+    Z: np.ndarray
+    P: np.ndarray | None
+    scale: float
+    prox: np.ndarray
+    rho: np.ndarray
+    Hr: np.ndarray
+    J: np.ndarray | None
+
+    @classmethod
+    def of(cls, H, G=None, E=None, tol: Tolerances = DEFAULT) -> QpMatrices:
+        H = _as_matrix(H, "H")
+        n = H.shape[0]
+        if H.shape != (n, n):
+            raise ValueError("H must be square")
+        scale = max(1.0, float(np.abs(H).max()))
+        if np.abs(H - H.T).max() > tol.sym * scale:
+            raise ValueError("H is not symmetric")
+        H = 0.5 * (H + H.T)
+        lam_min = float(np.linalg.eigvalsh(H)[0])
+        if lam_min < -tol.psd * scale:
+            raise ValueError(f"H is not positive semidefinite (lambda_min={lam_min:g})")
+        if E is not None:
+            E = _columns(E, n, "E", "equality")
+        live = E if E is not None and E.shape[0] else None
+        Z, P = _equality_space(live, n, tol)
+        scale = max(1.0, float(np.abs(H).max()))     # of the symmetric part
+        # if the cost is singular on the equality null space beyond the relaxed
+        # binaries, fall back to the proximal term on every column
+        for prox in (_prox_columns(H, live), np.ones(n, dtype=bool)):
+            rho = tol.qp_prox * scale * prox
+            Hr = H + np.diag(rho)
+            J = _inverse_factor(Hr, Z, tol)
+            if J is not None:
+                break
+        _read_only(H, Z, P, prox, rho, Hr, J)
+        mats = cls(H=H, G=None, E=E, inv=np.zeros(0), Z=Z, P=P,
+                   scale=scale, prox=prox, rho=rho, Hr=Hr, J=J)
+        return mats if G is None else mats.with_rows(G)
+
+    @property
+    def n(self):
+        return self.H.shape[0]
+
+    def with_rows(self, G) -> QpMatrices:
+        """This record with the inequality rows G, checked here; the factors
+        of H and E are shared."""
+        G = _columns(G, self.n, "G", "inequality")
+        inv = _inverse_norms(G)
+        _read_only(inv)
+        return replace(self, G=G, inv=inv)
+
+
+class RecordStore:
+    """Records built once per key, at most ``bound`` of them (the least
+    recently used goes first).
+
+    Its owner is whoever owns the matrices the records come from, so they
+    are freed with it; a horizon structure keeps one record per set of free
+    binaries its nodes pose.
+    """
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self._records = OrderedDict()
+
+    def __len__(self):
+        return len(self._records)
+
+    def get(self, key, build):
+        """The record of ``key``, from ``build()`` the first time."""
+        record = self._records.get(key)
+        if record is None:
+            record = self._records[key] = build()
+            if len(self._records) > self.bound:
+                self._records.popitem(last=False)
+        else:
+            self._records.move_to_end(key)
+        return record
 
 
 class _DualActiveSet:
@@ -280,14 +363,15 @@ class _DualActiveSet:
     new linear term (proximal passes, warm starts).
     """
 
-    def __init__(self, G, h, J, Z, cap, tol):
-        self.G, self.h, self.J, self.Z, self.cap, self.tol = G, h, J, Z, cap, tol
-        self.inv = _inverse_norms(G)
+    def __init__(self, mats: QpMatrices, h, cap, tol):
+        self.G = mats.G if mats.G is not None else np.zeros((0, mats.n))
+        self.inv, self.J, self.Z = mats.inv, mats.J, mats.Z
+        self.h, self.cap, self.tol = h, cap, tol
         self.cols = {}
         self.work = []
         self.lam = np.zeros(0)
-        self.QY = np.zeros((Z.shape[1], 0))
-        self.QB = np.zeros((J.shape[1], 0))
+        self.QY = np.zeros((self.Z.shape[1], 0))
+        self.QB = np.zeros((self.J.shape[1], 0))
         self.RBinv = np.zeros((0, 0))
 
     def _row(self, i):
@@ -450,24 +534,25 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, tol: Tolerances = DEFAULT,
     gives a KKT point, which makes H = 0 (an LP) exact. ``x0`` seeds the
     proximal centre and ``active_set`` the working set (a branch-and-bound
     child passes its parent's). At ``max_iter`` working-set changes the
-    status is ``ITERATION_LIMIT``.
+    status is ``ITERATION_LIMIT``. G's row norms and the factors of H and E
+    are read from ``p.matrices``, derived for the tolerances it was built
+    with.
     """
+    mats = p.matrices
     n = p.n
-    G = p.G if p.G is not None else np.zeros((0, n))
     h = p.h if p.h is not None else np.zeros(0)
     E = p.E if p.E is not None and p.E.shape[0] else None
-    mi, me = G.shape[0], 0 if E is None else E.shape[0]
+    mi, me = h.size, 0 if E is None else E.shape[0]
     if max_iter is None:
         max_iter = 100 + 10 * (n + mi + me)
 
-    Z, P, scale, prox, rho, Hr, J = _cost_factors(
-        p.H.tobytes(), b"" if E is None else E.tobytes(), n, tol)
+    P, scale, prox, rho, Hr, J = mats.P, mats.scale, mats.prox, mats.rho, mats.Hr, mats.J
     x_p = np.zeros(n) if P is None else P.T @ p.d
     if P is not None and np.abs(E @ x_p - p.d).max() > tol.feas:
         return QpResult(INFEASIBLE)
     cap = tol.qp_dual_cap * max(scale, tol.qp_prox * scale,
                                 float(np.abs(p.g).max(initial=0.0)))
-    gi = _DualActiveSet(G, h, J, Z, cap, tol)
+    gi = _DualActiveSet(mats, h, cap, tol)
 
     center = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) * prox
     seed_rows = () if active_set is None else [int(i) for i in active_set if 0 <= i < mi]
@@ -497,8 +582,9 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, tol: Tolerances = DEFAULT,
         passes += 1
 
     ineq_dual = np.zeros(mi)
-    ineq_dual[gi.work] = np.maximum(gi.lam, 0.0) * gi.inv[gi.work]
-    eq_dual = None if P is None else -P @ (p.H @ x + p.g + G.T @ ineq_dual)
+    lam = np.maximum(gi.lam, 0.0) * gi.inv[gi.work]
+    ineq_dual[gi.work] = lam
+    eq_dual = None if P is None else -P @ (p.H @ x + p.g + gi.G[gi.work].T @ lam)
     return QpResult(OPTIMAL, x=x, objective=_qp_objective(p, x),
                     active_set=tuple(sorted(gi.work)),
                     ineq_dual=ineq_dual if mi else None,

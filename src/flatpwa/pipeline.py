@@ -7,6 +7,7 @@ same construction code.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -219,13 +220,18 @@ def build_controller(pipe: Pipeline):
         if x0 is None:
             x0 = x0_ref
 
+        # sample k reads indices k .. k + N_p - 1, all but the last of them
+        # read at sample k - 1 too
+        @lru_cache(maxsize=2 * cfg.N_p)
+        def ref_at(i):
+            return z_ref(i), v_ref(i)
+
         def refs(k):
-            return (np.array([z_ref(k + i) for i in range(cfg.N_p)]),
-                    np.array([v_ref(k + i) for i in range(cfg.N_p)]))
+            at = [ref_at(k + i) for i in range(cfg.N_p)]
+            return np.array([z for z, _ in at]), np.array([v for _, v in at])
 
         def ref_cells(k):
-            zeta = np.array([np.concatenate([z_ref(k + i), v_ref(k + i)])
-                             for i in range(cfg.N_p)])
+            zeta = np.array([np.concatenate(ref_at(k + i)) for i in range(cfg.N_p)])
             return locate_cell(U, zeta @ plant.input_map.T).tolist()
     elif cfg.plant == "pmsm" and cfg.reference.get("type", "equilibrium") \
             == "equilibrium":

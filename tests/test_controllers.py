@@ -1,15 +1,24 @@
+import gc
+import inspect
+import weakref
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import flatpwa
 from flatpwa import controllers, numkernel, polytope
+from flatpwa.config import load_scenario
 from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step,
                                  mpc_step, verify_clf)
 from flatpwa.miqpsolver import solve_by_cell_enumeration, solve_miqp
+from flatpwa.pipeline import build_controller, build_pipeline
 from flatpwa.tolerances import DEFAULT
 from flatpwa.plants.aircraft import aircraft_phi
 from flatpwa.simulate import ControllerInfeasible, locate_cell, rk4_discretize
 
+SCENARIOS = Path(flatpwa.__file__).parent / "data" / "scenarios"
 PAPER_P = np.array([[0.1430, 0.1932], [0.1932, 0.6378]])
 PAPER_GAIN = np.array([[3.16, 2.55]])
 
@@ -256,3 +265,58 @@ def test_flmpc_state_rows_hold_over_forecast(mpc_spec, aircraft_union,
     out = flmpc_step(mpc_spec, aircraft_union, aircraft_plant.phi,
                      np.array([0.2, 0.3]))
     assert out.z_forecast[:mpc_spec.N_p, 0].max() <= params.phi_stall + 1e-8
+
+
+# --- matrix records: built once per controller, freed with it ---------------
+
+def _shipped_controller(name):
+    pipe = build_pipeline(load_scenario(SCENARIOS / f"{name}.yaml"))
+    ctl, x0, _ = build_controller(pipe)
+    return ctl, pipe.plant.to_flat(np.asarray(x0))
+
+
+def _count_matrix_work(monkeypatch):
+    """Calls of what a record does once (eigvalsh for the PSD check, the row
+    norms, the record constructor) and of the per-call G record."""
+    counts = {}
+
+    def counted(owner, name, wrap=lambda f: f):
+        orig = getattr(owner, name)
+        counts[name] = 0
+
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrap(call))
+
+    counted(np.linalg, "eigvalsh")
+    counted(numkernel, "_inverse_norms")
+    counted(numkernel.QpMatrices, "of", staticmethod)
+    counted(numkernel.QpMatrices, "with_rows")
+    return counts
+
+
+@pytest.mark.parametrize("scenario", ["aircraft_mpc", "aircraft_flmpc", "aircraft_clf"])
+def test_second_sample_reuses_the_matrix_records(monkeypatch, scenario):
+    counts = _count_matrix_work(monkeypatch)
+    ctl, z = _shipped_controller(scenario)
+    ctl(z, 0)
+    assert counts["of"] >= 1
+    counts.update(dict.fromkeys(counts, 0))
+    ctl(z, 1)
+    assert counts["eigvalsh"] == counts["of"] == 0
+    # only the CLF's G changes per sample (its decrease row depends on z):
+    # a fresh G record per cell QP, with that G's row norms
+    assert counts["_inverse_norms"] == counts["with_rows"]
+    assert (counts["with_rows"] > 0) == (scenario == "aircraft_clf")
+
+
+def test_node_records_are_freed_with_their_controller():
+    ctl, z = _shipped_controller("aircraft_mpc")
+    ctl(z, 0)
+    structure = inspect.getclosurevars(ctl).nonlocals["structure"]
+    store = weakref.ref(structure.template.blocks.records)
+    assert len(store()) >= 1
+    del ctl, structure
+    gc.collect()
+    assert store() is None

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
-                               LpProblem, QpProblem, _cost_factors, _DualActiveSet,
+                               LpProblem, QpMatrices, QpProblem, RecordStore,
+                               _DualActiveSet,
                                eig_sym, solve_lp, solve_qp)
 from flatpwa.tolerances import DEFAULT
 
@@ -261,6 +262,35 @@ def test_qp_rejects_indefinite_cost():
         QpProblem(H=[[1.0, 0.0], [0.0, -1.0]], g=[0.0, 0.0])
 
 
+@pytest.mark.parametrize("matrices, message", [
+    (dict(H=[[1.0, 0.5], [0.0, 1.0]]), "not symmetric"),
+    (dict(H=np.eye(2), G=[[1.0, np.nan]]), "G contains non-finite"),
+    (dict(H=np.eye(2), E=[[np.inf, 1.0]]), "E contains non-finite"),
+])
+def test_qp_record_checks_its_matrices(matrices, message):
+    with pytest.raises(ValueError, match=message):
+        QpProblem(g=[0.0, 0.0], h=[1.0], d=[0.0], **matrices)
+
+
+def test_qp_record_checks_swapped_rows_and_is_not_given_twice():
+    mats = QpMatrices.of(np.eye(2))
+    with pytest.raises(ValueError, match="G contains non-finite"):
+        mats.with_rows([[np.inf, 0.0]])
+    with pytest.raises(ValueError, match="not both"):
+        QpProblem(H=np.eye(2), g=[0.0, 0.0], matrices=mats)
+    p = QpProblem(g=[-2.0, 0.0], h=[0.5], matrices=mats.with_rows([[1.0, 0.0]]))
+    assert solve_qp(p).x[0] == pytest.approx(0.5)
+
+
+def test_record_store_keeps_its_bound_least_recently_used_first():
+    store = RecordStore(2)
+    built = []
+    for key in ("a", "b", "a", "c", "a", "b"):
+        assert store.get(key, lambda: built.append(key) or key) == key
+        assert len(store) <= 2
+    assert built == ["a", "b", "c", "b"]
+
+
 def test_qp_warm_start_from_parent_active_set():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(5, 5))
@@ -283,8 +313,8 @@ def test_qp_dependence_threshold():
     G = np.array([[1.0, 0.0],
                   [1.0, 0.1 * tol.qp_dependence],
                   [1.0, 10.0 * tol.qp_dependence]])
-    Z, _, _, _, _, _, J = _cost_factors(np.eye(2).tobytes(), b"", 2, tol)
-    gi = _DualActiveSet(G, np.ones(3), J, Z, tol.qp_dual_cap, tol)
+    gi = _DualActiveSet(QpMatrices.of(np.eye(2), G, tol=tol), np.ones(3),
+                        tol.qp_dual_cap, tol)
     gi.seed([0], np.array([2.0, 0.0]))
     assert gi.work == [0]
     assert gi._independent(1) is None

@@ -14,7 +14,7 @@ import pytest
 import flatpwa
 from flatpwa.config import load_scenario
 from flatpwa.controllers import mpc_structure
-from flatpwa.miencoding import encode_horizon, encode_point
+from flatpwa.miencoding import NODE_RECORDS, encode_horizon, encode_point
 from flatpwa.miqpsolver import _node_problem
 from flatpwa.numkernel import QpProblem
 from flatpwa.pipeline import build_controller, build_pipeline
@@ -321,3 +321,17 @@ def test_clf_node_problem_matches_column_selection(clf_bigm_model):
             if ref is not None:
                 for key in ("H", "g", "G", "h"):
                     assert np.array_equal(getattr(prob, key), getattr(ref, key)), key
+
+
+def test_node_records_stay_within_their_bound():
+    pipe = build_pipeline(load_scenario(SCENARIOS / "aircraft_mpc.yaml"))
+    _, _, info = build_controller(pipe)
+    spec = info["mpc_spec"]
+    structure = mpc_structure(spec, pipe.ensure_union(), pipe.ensure_big_m())
+    n_z, m = spec.B_d.shape
+    rng = np.random.default_rng(17)
+    model = structure.instantiate(*_random_refs(rng, spec, n_z, m))
+    for fixed in _random_fixings(rng, model, 60):
+        _node_problem(model, _node(model, fixed), DEFAULT)
+        assert len(model.blocks.records) <= NODE_RECORDS
+    assert len(model.blocks.records) == NODE_RECORDS
