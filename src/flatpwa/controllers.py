@@ -1,7 +1,9 @@
 """Online controllers over the linearized dynamics.
 
 * CLF projection: minimal deviation from a desired input subject to the
-  admissible union and a quadratic-Lyapunov decrease row, one QP per cell.
+  admissible union and a quadratic-Lyapunov decrease row: for a scalar
+  input, v_d projected onto every cell's interval in closed form; otherwise
+  one QP per cell.
 * MI-constrained MPC: receding-horizon MIQP whose every predicted pair
   (z(k|i), v(k|i)) is kept inside the admissible union.
 * FL-MPC baseline: state rows over the horizon but the input constraint
@@ -108,7 +110,9 @@ class ClfStepResult:
 def _best_cell(order, cell_problem, tol: Tolerances):
     """One QP per admissible cell, tried in ``order``; returns (QpResult,
     cell) of the lowest objective, ties going to the earlier cell, or None
-    when every cell is infeasible.
+    when every cell is infeasible. FL-MPC's first step and the CLF step with
+    m > 1 inputs run this loop; the CLF's closed form for m = 1 is tested
+    against it.
 
     Over one instant the union's disjunction is exactly "solve each member,
     keep the best". The costs here are sums of squares, so the loop stops at
@@ -129,52 +133,146 @@ def _best_cell(order, cell_problem, tol: Tolerances):
     return best
 
 
-def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
-             tol: Tolerances = DEFAULT,
-             first_cell: int | None = None,
-             cost: QpMatrices | None = None) -> ClfStepResult:
-    """Project the desired input onto the stabilizing admissible set.
+@dataclass(frozen=True)
+class ClfStructure:
+    """What the CLF step takes from the union, the input map and B alone,
+    built once per controller by ``clf_structure``.
 
-    min ||v - v_d(z)||^2 s.t. (z, v) in the union and
-    2 z'P(Az + Bv) <= -gamma z'P z, solved as one QP over v per cell: that
-    cell's rows with z substituted, plus the decrease row. ``first_cell``
-    (the previous sample's cell) is tried first, then the others in index
-    order. Raises ControllerInfeasible when no cell is feasible. ``cost``
-    is ``QpMatrices.of(2 I_m, tol=tol)``, the record of the cost, built
-    once by a controller; without it, it is built here.
+    The union's stacked rows lifted through the input map, A S = [A_z, G],
+    so that a sample's rows over v read G v <= b - A_z z; ``starts`` holds
+    each cell's first row and ``cells`` slices its rows. For m = 1,
+    ``owner`` is each row's cell and ``upper``/``lower`` flag the rows that
+    bound v from above (G > 0) or below (G < 0); for m > 1, ``cost`` is the
+    record of the cost H = 2 I.
     """
-    z = np.asarray(z, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
+
+    A_z: np.ndarray
+    G: np.ndarray
+    b: np.ndarray
+    starts: np.ndarray
+    cells: tuple
+    owner: np.ndarray | None = None
+    upper: np.ndarray | None = None
+    lower: np.ndarray | None = None
+    cost: QpMatrices | None = None
+
+
+def clf_structure(U: AdmissibleUnion, B, input_map=None,
+                  tol: Tolerances = DEFAULT) -> ClfStructure:
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    n_z = z.size
-    m = B.shape[1]
-    if cost is None:
-        cost = QpMatrices.of(2.0 * np.eye(m), tol=tol)
+    n_z, m = B.shape
     S = np.eye(n_z + m) if input_map is None else np.asarray(input_map, dtype=float)
     rows = U.stacked
     lifted = rows.A @ S
-    h = rows.b - np.ascontiguousarray(lifted[:, :n_z]) @ z
-    G = lifted[:, n_z:]
     ends = np.append(rows.starts[1:], rows.b.size)
-    clf_row = 2.0 * B.T @ spec.P @ z
-    clf_rhs = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ A @ z)
-    vd = spec.v_d(z)
+    G = lifted[:, n_z:]
+    parts = dict(A_z=np.ascontiguousarray(lifted[:, :n_z]), G=G, b=rows.b,
+                 starts=rows.starts,
+                 cells=tuple(slice(s, e) for s, e in zip(rows.starts, ends)))
+    if m > 1:
+        return ClfStructure(**parts, cost=QpMatrices.of(2.0 * np.eye(m), tol=tol))
+    return ClfStructure(**parts, owner=np.repeat(np.arange(len(U)), ends - rows.starts),
+                        upper=G[:, 0] > 0.0, lower=G[:, 0] < 0.0)
+
+
+def _clf_rows(spec: ClfSpec, s: ClfStructure, z, A, B):
+    """A sample's program over v: per cell G v <= h with h = b - A_z z,
+    the decrease row a'v <= r, and the desired input v_d. Returns
+    (h, a, r, v_d)."""
+    h = s.b - s.A_z @ z
+    a = 2.0 * B.T @ spec.P @ z
+    r = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ A @ z)
+    return h, a, r, spec.v_d(z)
+
+
+def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
+    """The m = 1 program in closed form, every cell at once.
+
+    Each cell's program min (v - v_d)^2 s.t. G_j v <= h_j, a v <= r is the
+    projection of v_d onto an interval [lo_j, hi_j]: a row with G_i > 0 is
+    the upper bound h_i / G_i, one with G_i < 0 a lower bound. As the dual
+    kernel does, only the rows that v_d violates by more than ``tol.feas``,
+    the decrease row included, bound the interval (rows are not scaled, so a
+    small coefficient lets v_d pass its bound by up to tol.feas / |G_i|),
+    and a cell is feasible when its projection violates none of its rows by
+    more than ``tol.feas`` (which also judges rows with G_i = 0). The cell
+    is chosen as ``_best_cell`` chooses: ``first_cell``, then index order,
+    the first objective <= ``tol.miqp_gap``, else the lowest, ties to the
+    earlier. Returns None when every cell is infeasible.
+    """
+    g = s.G[:, 0]
+    v0 = float(vd[0])
+    a0 = float(a[0])
+    push = g * v0 - h > tol.feas
+    hi = np.divide(h, g, out=np.full_like(h, np.inf), where=push & s.upper)
+    lo = np.divide(h, g, out=np.full_like(h, -np.inf), where=push & s.lower)
+    hi = np.minimum.reduceat(hi, s.starts)
+    lo = np.maximum.reduceat(lo, s.starts)
+    if a0 * v0 - r > tol.feas:
+        if a0 > 0.0:
+            hi = np.minimum(hi, r / a0)
+        elif a0 < 0.0:
+            lo = np.maximum(lo, r / a0)
+    v = np.minimum(np.maximum(v0, lo), hi)
+    worst = np.maximum(np.maximum.reduceat(g * v[s.owner] - h, s.starts), a0 * v - r)
+    obj = np.where(worst <= tol.feas, (v - v0) ** 2, np.inf)
+    close = np.flatnonzero(obj <= tol.miqp_gap)
+    j = int(close[0]) if close.size else int(np.argmin(obj))
+    if first_cell is not None and obj[first_cell] <= max(obj[j], tol.miqp_gap):
+        j = first_cell
+    if not np.isfinite(obj[j]):
+        return None
+    return ClfStepResult(v=v[[j]], objective=float(obj[j]), cell=j)
+
+
+def _clf_cell_qps(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
+    """The program as one QP per cell (``_best_cell``): that cell's rows
+    plus the decrease row, with the cost record ``s.cost``. Returns None
+    when every cell is infeasible."""
     g = -2.0 * vd
     c0 = float(vd @ vd)
 
     def cell_problem(j):
-        cell = slice(rows.starts[j], ends[j])
-        return QpProblem(g=g, h=np.append(h[cell], clf_rhs), c0=c0, tol=tol,
-                         matrices=cost.with_rows(np.vstack([G[cell], clf_row])))
+        cell = s.cells[j]
+        return QpProblem(g=g, h=np.append(h[cell], r), c0=c0, tol=tol,
+                         matrices=s.cost.with_rows(np.vstack([s.G[cell], a])))
 
-    order = list(range(len(U)))
+    order = list(range(len(s.cells)))
     if first_cell is not None:
         order.insert(0, order.pop(first_cell))
     best = _best_cell(order, cell_problem, tol)
     if best is None:
-        raise ControllerInfeasible("CLF projection program is infeasible")
+        return None
     res, j = best
     return ClfStepResult(v=res.x, objective=res.objective, cell=j)
+
+
+def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
+             tol: Tolerances = DEFAULT,
+             first_cell: int | None = None,
+             structure: ClfStructure | None = None) -> ClfStepResult:
+    """Project the desired input onto the stabilizing admissible set.
+
+    min ||v - v_d(z)||^2 s.t. (z, v) in the union and
+    2 z'P(Az + Bv) <= -gamma z'P z. Per cell this is a program over v: that
+    cell's rows with z substituted, plus the decrease row. For a scalar
+    input (m = 1) every cell's program is solved at once in closed form
+    (``_clf_intervals``); for m > 1, one QP per cell (``_clf_cell_qps``).
+    ``first_cell`` (the previous sample's cell) is tried first, then the
+    others in index order. Raises ControllerInfeasible when no cell is
+    feasible. ``structure`` is ``clf_structure(U, B, input_map, tol)``,
+    built once by a controller; without it, it is built here.
+    """
+    z = np.asarray(z, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    B = np.atleast_2d(np.asarray(B, dtype=float))
+    if structure is None:
+        structure = clf_structure(U, B, input_map, tol)
+    solve = _clf_intervals if B.shape[1] == 1 else _clf_cell_qps
+    out = solve(structure, *_clf_rows(spec, structure, z, A, B), first_cell, tol)
+    if out is None:
+        raise ControllerInfeasible("CLF projection program is infeasible")
+    return out
 
 
 @dataclass
@@ -305,12 +403,12 @@ def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None,
 
     Each sample tries the previous sample's cell first."""
     state = {"cell": None}
-    cost = QpMatrices.of(2.0 * np.eye(np.atleast_2d(B).shape[1]), tol=tol)
+    structure = clf_structure(U, B, input_map, tol)
 
     def controller(z, k):
         t0 = time.perf_counter()
         out = clf_step(spec, U, z, A, B, input_map=input_map, tol=tol,
-                       first_cell=state["cell"], cost=cost)
+                       first_cell=state["cell"], structure=structure)
         ms = (time.perf_counter() - t0) * 1e3
         state["cell"] = out.cell
         return out.v, ms, {"cell": out.cell}

@@ -36,3 +36,21 @@ def test_compare_traces(tmp_path):
     code, out = _compare(a, _tree(tmp_path / "e", {"s1": BASE}))
     assert code == 1 and "s2: missing" in out
     assert _compare(tmp_path / "none", tmp_path / "none")[0] == 2
+
+
+WRITER = TOOL.parent / "write_traces.py"
+
+
+def test_write_traces_feeds_compare_traces(tmp_path):
+    # two runs of one short scenario: the tree compare_traces reads, and
+    # bit-identical on one thread
+    for side in ("a", "b"):
+        out = subprocess.run([sys.executable, str(WRITER), str(tmp_path / side),
+                              "aircraft_flmpc"], capture_output=True, text=True)
+        assert out.returncode == 0, out.stderr
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["aircraft_flmpc"]
+    code, out = _compare(tmp_path / "a", tmp_path / "b")
+    assert code == 0 and out == "aircraft_flmpc: bit-identical\n"
+    missing = subprocess.run([sys.executable, str(WRITER), str(tmp_path / "c"),
+                              "no_such_scenario"], capture_output=True, text=True)
+    assert missing.returncode == 1

@@ -1,6 +1,7 @@
 import gc
 import inspect
 import weakref
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from flatpwa import controllers, numkernel, polytope
 from flatpwa.config import load_scenario
 from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step,
                                  mpc_step, verify_clf)
+from flatpwa.miencoding import build_admissible_union, compute_big_m
 from flatpwa.miqpsolver import solve_by_cell_enumeration, solve_miqp
 from flatpwa.pipeline import build_controller, build_pipeline
 from flatpwa.tolerances import DEFAULT
@@ -139,26 +141,30 @@ def test_clf_per_cell_matches_big_m_program(z1, z2, clf_spec, aircraft_union,
         assert out.v[0] == pytest.approx(ref.x[0], abs=1e-5)
 
 
-def test_clf_step_solves_one_qp_per_cell(monkeypatch, clf_spec, aircraft_union,
-                                         aircraft_plant):
-    # one QP when v_d is admissible and decreasing and its cell is tried
-    # first; otherwise, unless a cell comes within the optimality gap of
-    # v_d, every cell; never branch and bound
+def test_clf_step_solves_no_qp_for_a_scalar_input(monkeypatch, clf_spec,
+                                                 aircraft_union, aircraft_plant):
+    # m = 1: the closed form poses no QP, for states where v_d is admissible
+    # and decreasing in the hint cell (returned from that cell) and for
+    # states it projects or rejects; never branch and bound
     qp_calls = []
-    solve_qp = controllers.solve_qp
 
-    def counted(*args, **kwargs):
-        qp_calls.append(1)
-        return solve_qp(*args, **kwargs)
+    def counted(name):
+        orig = getattr(controllers, name)
+
+        def call(*args, **kwargs):
+            qp_calls.append(name)
+            return orig(*args, **kwargs)
+        monkeypatch.setattr(controllers, name, call)
 
     def no_miqp(*args, **kwargs):
         raise AssertionError("the CLF step called branch and bound")
 
-    monkeypatch.setattr(controllers, "solve_qp", counted)
+    counted("solve_qp")
+    counted("QpProblem")
     monkeypatch.setattr(controllers, "solve_miqp", no_miqp)
     A, B, P, S = aircraft_plant.A, aircraft_plant.B, clf_spec.P, aircraft_plant.input_map
     rng = np.random.default_rng(4)
-    seen = {"one": 0, "every": 0}
+    seen = {"desired": 0, "other": 0}
     for _ in range(300):
         z = rng.uniform([-0.3, -0.8], [0.3, 0.8])
         vd = clf_spec.v_d(z)
@@ -166,19 +172,101 @@ def test_clf_step_solves_one_qp_per_cell(monkeypatch, clf_spec, aircraft_union,
         y = S @ np.concatenate([z, vd])
         inside = [c.polytope.residual(y) for c in aircraft_union.cells]
         j = int(np.argmin(inside))
-        qp_calls.clear()
         try:
             out = clf_step(clf_spec, aircraft_union, z, A, B, input_map=S,
                            first_cell=j)
         except ControllerInfeasible:
             out = None
+        assert not qp_calls, qp_calls
         if decrease < -1e-3 and inside[j] < -1e-3:
-            assert len(qp_calls) == 1 and out.cell == j
-            seen["one"] += 1
+            assert out.cell == j and out.v[0] == vd[0]
+            seen["desired"] += 1
         elif out is None or out.objective > DEFAULT.miqp_gap:
-            assert len(qp_calls) == len(aircraft_union)
-            seen["every"] += 1
+            seen["other"] += 1
     assert min(seen.values()) >= 20, seen
+
+
+def _clf_programs(spec, s, A, B, rng, count):
+    """(program, hints) over states from C9's box, a box beyond the
+    workspace (|z1| <= 20 deg) and norms 1e-9..1e-3, where the decrease
+    row's coefficients are tiny; then states whose v_d sits within 1e-3 of
+    one of a cell's bounds, where two cells can come within the optimality
+    gap and the hint decides, tried with every hint."""
+    cells = len(s.cells)
+    for k in range(count):
+        if k % 3 == 0:
+            z = rng.uniform([-0.2, -0.5], [0.2, 0.5])
+        elif k % 3 == 1:
+            z = rng.uniform([-0.4, -1.0], [0.4, 1.0])
+        else:
+            direction = rng.normal(size=2)
+            z = direction / np.linalg.norm(direction) * 10.0 ** rng.uniform(-9, -3)
+        yield controllers._clf_rows(spec, s, z, A, B), (None, int(rng.integers(cells)))
+    sided = np.flatnonzero(s.G[:, 0] != 0.0)
+    for _ in range(count // 4):
+        z = rng.uniform([-0.2, -0.5], [0.2, 0.5])
+        h, a, r, _ = controllers._clf_rows(spec, s, z, A, B)
+        i = rng.choice(sided)
+        vd = np.array([h[i] / s.G[i, 0] + rng.uniform(-1e-3, 1e-3)])
+        yield (h, a, r, vd), (None, *range(cells))
+
+
+def test_clf_closed_form_matches_the_per_cell_qps(clf_spec, aircraft_union,
+                                                  aircraft_plant):
+    # the m = 1 closed form against the QP loop of m > 1 on the same
+    # program: the same verdict, cell and input
+    A, B = aircraft_plant.A, aircraft_plant.B
+    s = controllers.clf_structure(aircraft_union, B, aircraft_plant.input_map)
+    with_cost = replace(s, cost=numkernel.QpMatrices.of(2.0 * np.eye(1)))
+    rng = np.random.default_rng(8)
+    verdicts = {True: 0, False: 0}
+    tiny_projected = hint_decided = 0
+    for rows, hints in _clf_programs(clf_spec, s, A, B, rng, 2001):
+        unhinted = None
+        for hint in hints:
+            closed = controllers._clf_intervals(s, *rows, hint, DEFAULT)
+            qps = controllers._clf_cell_qps(with_cost, *rows, hint, DEFAULT)
+            assert (closed is None) == (qps is None), (rows, hint)
+            verdicts[closed is None] += 1
+            if closed is None:
+                continue
+            assert closed.cell == qps.cell, (rows, hint)
+            assert abs(closed.v[0] - qps.v[0]) <= 1e-12, (rows, hint)
+            assert closed.objective == pytest.approx(qps.objective, rel=1e-12, abs=1e-12)
+            tiny_projected += bool(abs(rows[1][0]) <= 2e-3 and closed.objective > 0.0)
+            if hint is None:
+                unhinted = closed.cell
+            hint_decided += closed.cell != unhinted
+    assert min(verdicts.values()) >= 100, verdicts
+    assert tiny_projected >= 20 and hint_decided >= 5, (tiny_projected, hint_decided)
+
+
+def test_clf_step_with_two_inputs_matches_big_m_program(pmsm_cells, pmsm_plant,
+                                                        clf_bigm_model):
+    # the per-cell QP path, which no shipped CLF scenario runs, on the
+    # PMSM's two-input union with an arbitrary positive-definite P
+    params = pmsm_plant.extras["params"]
+    U = build_admissible_union(pmsm_cells, u_max=params.u_bound,
+                               eps=np.array([1.0, 0.76]))
+    big_m = compute_big_m(U, pmsm_plant.net_workspace)
+    spec = ClfSpec(P=np.diag([2.0, 1.0, 0.5]), gamma=0.1,
+                   gain=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]]))
+    rng = np.random.default_rng(12)
+    statuses = set()
+    for _ in range(12):
+        z = 1.5 * rng.uniform(params.z_lower, params.z_upper)
+        try:
+            out = clf_step(spec, U, z, pmsm_plant.A, pmsm_plant.B,
+                           input_map=pmsm_plant.input_map)
+        except ControllerInfeasible:
+            out = None
+        oracle = solve_by_cell_enumeration(clf_bigm_model(spec, U, z, pmsm_plant, big_m))
+        assert oracle.status == ("infeasible" if out is None else "optimal")
+        statuses.add(oracle.status)
+        if out is not None:
+            assert out.objective == pytest.approx(oracle.objective, abs=1e-7)
+            assert out.v == pytest.approx(oracle.x[:2], abs=1e-5)
+    assert statuses == {"optimal", "infeasible"}
 
 
 def test_clf_argmin_invariance_under_lyapunov_scaling(clf_spec, aircraft_union,
@@ -277,7 +365,8 @@ def _shipped_controller(name):
 
 def _count_matrix_work(monkeypatch):
     """Calls of what a record does once (eigvalsh for the PSD check, the row
-    norms, the record constructor) and of the per-call G record."""
+    norms, the record constructor), of the per-call G record and of the CLF's
+    lifting of the union."""
     counts = {}
 
     def counted(owner, name, wrap=lambda f: f):
@@ -293,6 +382,7 @@ def _count_matrix_work(monkeypatch):
     counted(numkernel, "_inverse_norms")
     counted(numkernel.QpMatrices, "of", staticmethod)
     counted(numkernel.QpMatrices, "with_rows")
+    counted(controllers, "clf_structure")
     return counts
 
 
@@ -301,14 +391,14 @@ def test_second_sample_reuses_the_matrix_records(monkeypatch, scenario):
     counts = _count_matrix_work(monkeypatch)
     ctl, z = _shipped_controller(scenario)
     ctl(z, 0)
-    assert counts["of"] >= 1
+    if scenario == "aircraft_clf":
+        # lifted once per controller; a scalar-input CLF poses no QP
+        assert counts["clf_structure"] == 1 and counts["of"] == 0
+    else:
+        assert counts["of"] >= 1
     counts.update(dict.fromkeys(counts, 0))
     ctl(z, 1)
-    assert counts["eigvalsh"] == counts["of"] == 0
-    # only the CLF's G changes per sample (its decrease row depends on z):
-    # a fresh G record per cell QP, with that G's row norms
-    assert counts["_inverse_norms"] == counts["with_rows"]
-    assert (counts["with_rows"] > 0) == (scenario == "aircraft_clf")
+    assert not any(counts.values()), counts
 
 
 def test_node_records_are_freed_with_their_controller():
