@@ -13,7 +13,8 @@ from .errorbounds import (ErrorCertificate, GridSpec, TaylorCellBound,
                           taylor_cell_bounds)
 from .miencoding import (AdmissibleCell, AdmissibleUnion, BigMData, MiqpModel,
                          build_admissible_union, compute_big_m, encode_horizon,
-                         encode_point, encode_step, validate_big_m_override)
+                         encode_point, lift_rows, step_rows,
+                         validate_big_m_override)
 from .miqpsolver import (MiqpResult, SolveBudget, solve_by_cell_enumeration,
                          solve_miqp)
 from .controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step, mpc_step,

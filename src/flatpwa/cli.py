@@ -15,10 +15,10 @@ import json
 import sys
 from pathlib import Path
 
-from .config import ConfigError, load_scenario
-from .controllers import verify_clf, ClfSpec
+from .config import ConfigError, load_scenario, parse_max_ms
+from .controllers import verify_clf
 from .errorbounds import GridBudgetExceeded
-from .pipeline import (build_pipeline, run_certification, run_scenario,
+from .pipeline import (build_pipeline, clf_spec, run_certification, run_scenario,
                        run_taylor_table, summarize)
 from .polytope import vertices
 from .simulate import ControllerInfeasible, trace_csv
@@ -122,15 +122,13 @@ def cmd_bigm(pipe, out_dir, args):
 
 
 def cmd_verify_clf(pipe, out_dir, args):
-    cfg = pipe.cfg
-    if cfg.P is None or cfg.gamma is None:
-        raise ConfigError("tuning.P / tuning.gamma: required for verify-clf")
-    spec = ClfSpec(P=cfg.P, gamma=cfg.gamma, gain=cfg.gain)
-    report = verify_clf(spec, pipe.plant.A, pipe.plant.B)
+    report = verify_clf(clf_spec(pipe, gain_required=False), pipe.plant.A,
+                        pipe.plant.B)
     _write_json(out_dir / "clf.json", report)
-    print(f"{cfg.plant}: CLF check pass={report['pass']} "
+    lmi = report["lmi_max_eig"]
+    print(f"{pipe.cfg.plant}: CLF check pass={report['pass']} "
           f"(pd_min_eig={report['pd_min_eig']:.4g}, "
-          f"lmi_max_eig={report['lmi_max_eig']:.4g})")
+          f"lmi_max_eig={'unchecked' if lmi is None else f'{lmi:.4g}'})")
     return EXIT_OK if report["pass"] else EXIT_INFEASIBLE
 
 
@@ -162,7 +160,7 @@ def main(argv=None) -> int:
     try:
         cfg = load_scenario(args.config)
         if args.budget_ms is not None:
-            cfg.max_ms = args.budget_ms
+            cfg.max_ms = parse_max_ms(args.budget_ms, "--budget-ms")
         pipe = build_pipeline(cfg)
         return COMMANDS[args.command](pipe, Path(args.out), args)
     except ConfigError as e:

@@ -34,6 +34,13 @@ def _number(raw, path):
     return value
 
 
+def parse_max_ms(raw, path):
+    """A per-solve time budget in ms: finite and positive."""
+    value = _number(raw, path)
+    _require(value > 0, path, "must be positive")
+    return value
+
+
 def _matrix(raw, path, shape=None):
     try:
         M = np.array(raw, dtype=float)
@@ -183,8 +190,7 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
                  "budgets.max_nodes", "must be a nonnegative integer")
         cfg.max_nodes = bud["max_nodes"]
     if bud.get("max_ms") is not None:
-        cfg.max_ms = _number(bud["max_ms"], "budgets.max_ms")
-        _require(cfg.max_ms > 0, "budgets.max_ms", "must be positive")
+        cfg.max_ms = parse_max_ms(bud["max_ms"], "budgets.max_ms")
     if bud.get("fallback_max_nodes") is not None:
         _require(isinstance(bud["fallback_max_nodes"], int),
                  "budgets.fallback_max_nodes", "must be an integer")

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .miencoding import (AdmissibleUnion, BigMData, HorizonStructure, MiqpModel,
-                         horizon_structure)
+                         horizon_structure, lift_rows)
 # not called here: the benchmark's tracer rebinds these names in this module
 from .miencoding import encode_horizon, encode_point  # noqa: F401
 from .miqpsolver import MiqpResult, SolveBudget, solve_miqp
@@ -83,21 +83,23 @@ class MpcSpec:
 
 
 def verify_clf(spec: ClfSpec, A, B, tol: Tolerances = DEFAULT) -> dict:
-    """Check P > 0 and Psi A' + A Psi - 2 B B' + gamma Psi <= 0, Psi = P^-1."""
+    """Check P > 0 and Psi A' + A Psi - 2 B B' + gamma Psi <= 0, Psi = P^-1.
+
+    A P that is not positive definite fails the check without the LMI
+    being formed (``lmi_max_eig`` is None)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     pd_eigs = eig_sym(spec.P, tol)
-    if abs(np.linalg.det(spec.P)) < 1e-300:
-        raise ValueError("P is singular")
+    if pd_eigs[0] <= 0.0:
+        return {"pd_min_eig": float(pd_eigs[0]), "lmi_max_eig": None, "pass": False}
     Psi = np.linalg.inv(spec.P)
     lmi = Psi @ A.T + A @ Psi - 2.0 * B @ B.T + spec.gamma * Psi
     lmi_eigs = eig_sym(0.5 * (lmi + lmi.T), tol)
-    report = {
+    return {
         "pd_min_eig": float(pd_eigs[0]),
         "lmi_max_eig": float(lmi_eigs[-1]),
-        "pass": bool(pd_eigs[0] > 0.0 and lmi_eigs[-1] <= tol.psd),
+        "pass": bool(lmi_eigs[-1] <= tol.psd),
     }
-    return report
 
 
 @dataclass
@@ -135,8 +137,9 @@ def _best_cell(order, cell_problem, tol: Tolerances):
 
 @dataclass(frozen=True)
 class ClfStructure:
-    """What the CLF step takes from the union, the input map and B alone,
-    built once per controller by ``clf_structure``.
+    """Everything of the CLF step that no sample changes, built once per
+    controller by ``clf_structure``: the spec, the linear dynamics (A, B),
+    the tolerances and what the union and the input map give.
 
     The union's stacked rows lifted through the input map, A S = [A_z, G],
     so that a sample's rows over v read G v <= b - A_z z; ``starts`` holds
@@ -146,6 +149,10 @@ class ClfStructure:
     record of the cost H = 2 I.
     """
 
+    spec: ClfSpec
+    A: np.ndarray
+    B: np.ndarray
+    tol: Tolerances
     A_z: np.ndarray
     G: np.ndarray
     b: np.ndarray
@@ -157,16 +164,17 @@ class ClfStructure:
     cost: QpMatrices | None = None
 
 
-def clf_structure(U: AdmissibleUnion, B, input_map=None,
+def clf_structure(spec: ClfSpec, U: AdmissibleUnion, A, B, input_map=None,
                   tol: Tolerances = DEFAULT) -> ClfStructure:
+    A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_z, m = B.shape
-    S = np.eye(n_z + m) if input_map is None else np.asarray(input_map, dtype=float)
     rows = U.stacked
-    lifted = rows.A @ S
+    lifted = lift_rows(U, input_map, n_z + m)
     ends = np.append(rows.starts[1:], rows.b.size)
     G = lifted[:, n_z:]
-    parts = dict(A_z=np.ascontiguousarray(lifted[:, :n_z]), G=G, b=rows.b,
+    parts = dict(spec=spec, A=A, B=B, tol=tol,
+                 A_z=np.ascontiguousarray(lifted[:, :n_z]), G=G, b=rows.b,
                  starts=rows.starts,
                  cells=tuple(slice(s, e) for s, e in zip(rows.starts, ends)))
     if m > 1:
@@ -175,17 +183,18 @@ def clf_structure(U: AdmissibleUnion, B, input_map=None,
                         upper=G[:, 0] > 0.0, lower=G[:, 0] < 0.0)
 
 
-def _clf_rows(spec: ClfSpec, s: ClfStructure, z, A, B):
+def _clf_rows(s: ClfStructure, z):
     """A sample's program over v: per cell G v <= h with h = b - A_z z,
     the decrease row a'v <= r, and the desired input v_d. Returns
     (h, a, r, v_d)."""
+    spec = s.spec
     h = s.b - s.A_z @ z
-    a = 2.0 * B.T @ spec.P @ z
-    r = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ A @ z)
+    a = 2.0 * s.B.T @ spec.P @ z
+    r = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ s.A @ z)
     return h, a, r, spec.v_d(z)
 
 
-def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
+def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell):
     """The m = 1 program in closed form, every cell at once.
 
     Each cell's program min (v - v_d)^2 s.t. G_j v <= h_j, a v <= r is the
@@ -200,6 +209,7 @@ def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
     the first objective <= ``tol.miqp_gap``, else the lowest, ties to the
     earlier. Returns None when every cell is infeasible.
     """
+    tol = s.tol
     g = s.G[:, 0]
     v0 = float(vd[0])
     a0 = float(a[0])
@@ -225,10 +235,11 @@ def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
     return ClfStepResult(v=v[[j]], objective=float(obj[j]), cell=j)
 
 
-def _clf_cell_qps(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
+def _clf_cell_qps(s: ClfStructure, h, a, r, vd, first_cell):
     """The program as one QP per cell (``_best_cell``): that cell's rows
     plus the decrease row, with the cost record ``s.cost``. Returns None
     when every cell is infeasible."""
+    tol = s.tol
     g = -2.0 * vd
     c0 = float(vd @ vd)
 
@@ -247,10 +258,8 @@ def _clf_cell_qps(s: ClfStructure, h, a, r, vd, first_cell, tol: Tolerances):
     return ClfStepResult(v=res.x, objective=res.objective, cell=j)
 
 
-def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
-             tol: Tolerances = DEFAULT,
-             first_cell: int | None = None,
-             structure: ClfStructure | None = None) -> ClfStepResult:
+def clf_step(structure: ClfStructure, z,
+             first_cell: int | None = None) -> ClfStepResult:
     """Project the desired input onto the stabilizing admissible set.
 
     min ||v - v_d(z)||^2 s.t. (z, v) in the union and
@@ -260,16 +269,12 @@ def clf_step(spec: ClfSpec, U: AdmissibleUnion, z, A, B, input_map=None,
     (``_clf_intervals``); for m > 1, one QP per cell (``_clf_cell_qps``).
     ``first_cell`` (the previous sample's cell) is tried first, then the
     others in index order. Raises ControllerInfeasible when no cell is
-    feasible. ``structure`` is ``clf_structure(U, B, input_map, tol)``,
-    built once by a controller; without it, it is built here.
+    feasible. ``structure`` is ``clf_structure(spec, U, A, B, input_map,
+    tol)``, built once by a controller.
     """
     z = np.asarray(z, dtype=float)
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    B = np.atleast_2d(np.asarray(B, dtype=float))
-    if structure is None:
-        structure = clf_structure(U, B, input_map, tol)
-    solve = _clf_intervals if B.shape[1] == 1 else _clf_cell_qps
-    out = solve(structure, *_clf_rows(spec, structure, z, A, B), first_cell, tol)
+    solve = _clf_intervals if structure.cost is None else _clf_cell_qps
+    out = solve(structure, *_clf_rows(structure, z), first_cell)
     if out is None:
         raise ControllerInfeasible("CLF projection program is infeasible")
     return out
@@ -304,16 +309,13 @@ def mpc_structure(spec: MpcSpec, U: AdmissibleUnion | None,
                              terminal_weight=spec.terminal_weight)
 
 
-def mpc_step(spec: MpcSpec, U: AdmissibleUnion, z0, big_m: BigMData,
+def mpc_step(spec: MpcSpec, structure: HorizonStructure, z0,
              z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
-             initial_cells=None,
-             structure: HorizonStructure | None = None) -> MpcStepResult:
+             initial_cells=None) -> MpcStepResult:
     """One receding-horizon solve; returns the first input and the forecast.
 
     ``structure`` is ``mpc_structure(spec, U, big_m)``, built once by a
-    controller; without it, it is built here."""
-    if structure is None:
-        structure = mpc_structure(spec, U, big_m)
+    controller; ``spec`` gives the solve budgets."""
     model = structure.instantiate(z0, z_ref, v_ref)
     res = solve_miqp(model, budget=spec.budget, tol=tol,
                      initial_cells=initial_cells)
@@ -341,10 +343,12 @@ class FlmpcStructure:
     """The sample-independent part of the FL-MPC step, built once per
     controller: the horizon structure without the union, and per cell the
     matrix record of its first-step program (the base H and E; the base
-    rows plus that cell's rows on (z_0, v_0))."""
+    rows plus that cell's rows on (z_0, v_0)) and the right-hand side of
+    those rows."""
 
     horizon: HorizonStructure
     cells: tuple
+    rhs: tuple
 
 
 def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
@@ -355,19 +359,19 @@ def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
     zeta_cols = np.concatenate([np.arange(n_z),
                                 np.arange(n_z * (spec.N_p + 1),
                                           n_z * (spec.N_p + 1) + m)])
-    S = np.eye(n_z + m) if spec.input_map is None else spec.input_map
+    stacked = U.stacked
+    lifted = np.zeros((stacked.b.size, t.n_cont))
+    lifted[:, zeta_cols] = lift_rows(U, spec.input_map, n_z + m)
     base = QpMatrices.of(t.H, E=t.E, tol=tol)
-    cells = []
-    for c in U.cells:
-        rows = np.zeros((c.polytope.num_rows, t.n_cont))
-        rows[:, zeta_cols] = c.polytope.A @ S
-        cells.append(base.with_rows(np.vstack([t.G, rows])))
-    return FlmpcStructure(horizon=horizon, cells=tuple(cells))
+    cut = stacked.starts[1:]
+    return FlmpcStructure(
+        horizon=horizon,
+        cells=tuple(base.with_rows(np.vstack([t.G, a])) for a in np.split(lifted, cut)),
+        rhs=tuple(np.concatenate([t.h, b]) for b in np.split(stacked.b, cut)))
 
 
-def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
-               z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
-               structure: FlmpcStructure | None = None) -> FlmpcStepResult:
+def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None, v_ref=None,
+               tol: Tolerances = DEFAULT) -> FlmpcStepResult:
     """FL-MPC baseline: input constrained at step 0 only.
 
     The nonlinear first-input constraint |Phi(z0, v0)| <= u_bar is enforced
@@ -376,18 +380,15 @@ def flmpc_step(spec: MpcSpec, U: AdmissibleUnion, phi, z0,
     re-checked against the true map by the caller. Later forecast steps only
     carry the state rows, so their implied inputs may violate the true bound
     -- that is the point of the baseline. ``structure`` is
-    ``flmpc_structure(spec, U, tol)``, built once by a controller, or here
-    when not given.
+    ``flmpc_structure(spec, U, tol)``, built once by a controller.
     """
-    if structure is None:
-        structure = flmpc_structure(spec, U, tol)
     base = structure.horizon.instantiate(z0, z_ref, v_ref)
 
     def cell_problem(j):
-        return QpProblem(g=base.g, h=np.concatenate([base.h, U.cells[j].polytope.b]),
-                         d=base.d, c0=base.c0, tol=tol, matrices=structure.cells[j])
+        return QpProblem(g=base.g, h=structure.rhs[j], d=base.d, c0=base.c0,
+                         tol=tol, matrices=structure.cells[j])
 
-    best = _best_cell(range(len(U)), cell_problem, tol)
+    best = _best_cell(range(len(structure.cells)), cell_problem, tol)
     if best is None:
         raise ControllerInfeasible("FL-MPC first-step program is infeasible")
     res, j = best
@@ -403,12 +404,11 @@ def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None,
 
     Each sample tries the previous sample's cell first."""
     state = {"cell": None}
-    structure = clf_structure(U, B, input_map, tol)
+    structure = clf_structure(spec, U, A, B, input_map, tol)
 
     def controller(z, k):
         t0 = time.perf_counter()
-        out = clf_step(spec, U, z, A, B, input_map=input_map, tol=tol,
-                       first_cell=state["cell"], structure=structure)
+        out = clf_step(structure, z, first_cell=state["cell"])
         ms = (time.perf_counter() - t0) * 1e3
         state["cell"] = out.cell
         return out.v, ms, {"cell": out.cell}
@@ -429,8 +429,8 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
         hint = ref_cells(k) if ref_cells is not None else last_cells["seq"]
-        out = mpc_step(spec, U, z, big_m, z_ref=z_ref, v_ref=v_ref, tol=tol,
-                       initial_cells=hint, structure=structure)
+        out = mpc_step(spec, structure, z, z_ref=z_ref, v_ref=v_ref, tol=tol,
+                       initial_cells=hint)
         ms = (time.perf_counter() - t0) * 1e3
         seq = out.result.cell_sequence(out.model)
         if seq:
@@ -451,8 +451,7 @@ def make_flmpc_controller(spec: MpcSpec, U, phi, refs=None,
         if refs is not None:
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
-        out = flmpc_step(spec, U, phi, z, z_ref=z_ref, v_ref=v_ref, tol=tol,
-                         structure=structure)
+        out = flmpc_step(structure, phi, z, z_ref=z_ref, v_ref=v_ref, tol=tol)
         ms = (time.perf_counter() - t0) * 1e3
         return out.v, ms, {"cell": out.cell,
                            "forecast": (out.z_forecast, out.v_forecast)}

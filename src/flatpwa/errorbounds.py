@@ -167,7 +167,7 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     gamma_eps = gamma_phi + pwa_lipschitz(d)
 
     def eval_chunk(pts):
-        nn = pwa_eval_batch(d, net, pts)
+        nn = pwa_eval_batch(net, pts)
         tr = np.atleast_2d(np.asarray(phi(pts), dtype=float))
         if tr.shape[0] == 1 and nn.shape[0] != 1:
             tr = tr.T

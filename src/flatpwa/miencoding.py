@@ -220,45 +220,30 @@ class MiqpModel:
         return self.n_cont + self.n_bin
 
 
-def _lift_cell_rows(cell: AdmissibleCell, input_map, zeta_dim):
-    """Cell rows re-expressed over zeta = (z, v) through the selector S."""
+def lift_rows(U: AdmissibleUnion, input_map, zeta_dim):
+    """The union's stacked rows re-expressed over zeta = (z, v) through the
+    selector S; the rows' right-hand sides are ``U.stacked.b``. The one
+    place the union meets the input map."""
     S = np.eye(zeta_dim) if input_map is None else np.asarray(input_map, dtype=float)
-    if S.shape != (cell.polytope.dim, zeta_dim):
+    if S.shape != (U.input_dim, zeta_dim):
         raise ValueError("input map shape does not match cell/zeta dimensions")
-    return cell.polytope.A @ S, cell.polytope.b.copy()
+    return U.stacked.A @ S
 
 
-def encode_step(U: AdmissibleUnion, big_m: BigMData, zeta_cols, beta_cols,
-                total_vars: int, input_map=None):
-    """One time step of Eq.-style big-M rows plus its cardinality row.
-
-    ``zeta_cols`` are the columns of (z, v) within the full variable vector,
-    ``beta_cols`` the per-cell binary columns. With a single cell no binary
-    is needed and the rows are emitted hard. This is the one row-block
-    builder: the horizon structure and the point encoding place its rows.
-    """
-    zeta_cols = np.asarray(zeta_cols, dtype=int)
-    lifted = [_lift_cell_rows(c, input_map, zeta_cols.size) for c in U.cells]
-    rhs = np.concatenate([b for _, b in lifted])
-    rows = np.zeros((rhs.size, total_vars))
-    rows[:, zeta_cols] = np.vstack([a for a, _ in lifted])
+def step_rows(U: AdmissibleUnion, big_m: BigMData, input_map, zeta_dim):
+    """One time step's big-M rows over the local columns [zeta; beta]:
+    Theta_j zeta - M_j beta_j <= theta_j, one binary per cell. With a single
+    cell no binary is needed and the rows are hard. This is the one
+    row-block builder: the horizon structure and the point encoding place
+    its rows and write their own cardinality rows. Returns (rows, rhs)."""
+    lifted = lift_rows(U, input_map, zeta_dim)
+    rhs = U.stacked.b
     if len(U) == 1:
-        return rows, rhs, None, None
-    beta_cols = np.asarray(beta_cols, dtype=int)
-    cell = np.repeat(np.arange(len(U)), [b.size for _, b in lifted])
-    rows[np.arange(rhs.size), beta_cols[cell]] = -np.concatenate(big_m.per_row)
-    card_row = np.zeros(total_vars)
-    card_row[beta_cols] = 1.0
-    return rows, rhs, card_row, float(len(U) - 1)
-
-
-def _local_step_rows(U: AdmissibleUnion, big_m: BigMData, input_map, zeta_dim):
-    """``encode_step`` over local columns [zeta; beta] (beta only when the
-    union has more than one member)."""
-    n_local = zeta_dim + (len(U) if len(U) > 1 else 0)
-    cols = np.arange(n_local)
-    rows, rhs, _, _ = encode_step(U, big_m, cols[:zeta_dim], cols[zeta_dim:],
-                                  n_local, input_map)
+        return lifted, rhs
+    rows = np.zeros((rhs.size, zeta_dim + len(U)))
+    rows[:, :zeta_dim] = lifted
+    cell = np.repeat(np.arange(len(U)), [c.polytope.num_rows for c in U.cells])
+    rows[np.arange(rhs.size), zeta_dim + cell] = -np.concatenate(big_m.per_row)
     return rows, rhs
 
 
@@ -367,7 +352,7 @@ def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
     # box rows 0 <= beta <= 1 (integrality is the solver's concern)
     parts = []                       # (rows, their columns at each step, rhs)
     if use_cells:
-        rows, rhs = _local_step_rows(U, big_m, input_map, n_z + m)
+        rows, rhs = step_rows(U, big_m, input_map, n_z + m)
         parts.append((rows, np.hstack([zc, vc, bc]), rhs))
     if state_rows is not None:
         parts.append((state_rows.A, zc, state_rows.b))
@@ -428,7 +413,7 @@ def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
     workspace). The CLF controller solves this disjunction one cell at a
     time instead; this big-M form is the reference its tests compare with.
     """
-    rows, rhs = _local_step_rows(U, big_m, input_map, n_z + m)
+    rows, rhs = step_rows(U, big_m, input_map, n_z + m)
     n_bin = len(U) if len(U) > 1 else 0
     n = m + n_bin
     G = np.zeros((rhs.size + 2 * n_bin, n))

@@ -22,6 +22,7 @@ from .miqpsolver import SolveBudget
 from .polytope import HPolytope
 from .relupwa import ReluNetwork, enumerate_cells
 from .simulate import locate_cell, rk4_discretize, run_closed_loop
+from .tolerances import DEFAULT
 from .plants import aircraft as aircraft_mod
 from .plants import pmsm as pmsm_mod
 from .plants import uav as uav_mod
@@ -94,6 +95,9 @@ def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
     net_name = cfg.network or DEFAULT_NETWORKS[cfg.plant]
     net = ReluNetwork.load(cfg.resolve_path(net_name))
     if cfg.workspace_lower is not None:
+        if cfg.workspace_lower.shape != (net.n0,):
+            raise ConfigError(f"workspace: expected {net.n0} bounds per side, the "
+                              f"network's input size, got {cfg.workspace_lower.size}")
         workspace = HPolytope.box(cfg.workspace_lower, cfg.workspace_upper)
     else:
         workspace = plant.net_workspace
@@ -181,6 +185,39 @@ def _uav_reference(pipe: Pipeline):
     return z_ref, v_ref, x0
 
 
+def _plant_sized(M, path, shape, symmetric=False):
+    """A tuning matrix checked against the plant's dimensions."""
+    if M.shape != shape:
+        raise ConfigError(f"{path}: expected shape {shape} for this plant, got {M.shape}")
+    if symmetric and np.abs(M - M.T).max() > DEFAULT.sym * max(1.0, np.abs(M).max()):
+        raise ConfigError(f"{path}: must be symmetric")
+    return M
+
+
+def clf_spec(pipe: Pipeline, gain_required: bool = True) -> ClfSpec:
+    """The config's CLF tuning, checked against the plant: P (n_z x n_z,
+    symmetric), gamma and, unless only P is verified, the gain K (m x n_z)."""
+    cfg, plant = pipe.cfg, pipe.plant
+    required = [(cfg.P, "tuning.P"), (cfg.gamma, "tuning.gamma")]
+    if gain_required:
+        required.append((cfg.gain, "tuning.K"))
+    for value, path in required:
+        if value is None:
+            raise ConfigError(f"{path}: required by the CLF")
+    P = _plant_sized(cfg.P, "tuning.P", (plant.n_z, plant.n_z), symmetric=True)
+    gain = None if cfg.gain is None else _plant_sized(cfg.gain, "tuning.K",
+                                                      (plant.m, plant.n_z))
+    return ClfSpec(P=P, gamma=cfg.gamma, gain=gain)
+
+
+def _initial_state(x0, plant):
+    x0 = np.zeros(plant.n) if x0 is None else np.asarray(x0, dtype=float)
+    if x0.shape != (plant.n,):
+        raise ConfigError(f"simulation.x0: expected {plant.n} entries for this "
+                          f"plant, got {x0.size}")
+    return x0
+
+
 def build_controller(pipe: Pipeline):
     """Controller closure for the closed-loop runner plus the initial state."""
     cfg = pipe.cfg
@@ -188,20 +225,20 @@ def build_controller(pipe: Pipeline):
     U = pipe.ensure_union()
 
     if cfg.controller == "clf":
-        if cfg.P is None or cfg.gamma is None:
-            raise ValueError("CLF control needs tuning.P and tuning.gamma")
-        spec = ClfSpec(P=cfg.P, gamma=cfg.gamma, gain=cfg.gain)
+        spec = clf_spec(pipe)
+        x0 = _initial_state(cfg.x0, plant)
         ctl = make_clf_controller(spec, U, plant.A, plant.B,
                                   input_map=plant.input_map)
-        x0 = cfg.x0 if cfg.x0 is not None else np.zeros(plant.n)
-        return ctl, np.asarray(x0, dtype=float), {"clf_spec": spec}
+        return ctl, x0, {"clf_spec": spec}
 
     budget = SolveBudget(max_nodes=cfg.max_nodes, max_ms=cfg.max_ms)
     fallback = None
     if cfg.fallback_max_nodes is not None:
         fallback = SolveBudget(max_nodes=cfg.fallback_max_nodes, max_ms=cfg.max_ms)
-    Q = cfg.Q if cfg.Q is not None else np.eye(plant.n_z)
-    R = cfg.R if cfg.R is not None else 0.1 * np.eye(plant.m)
+    Q = np.eye(plant.n_z) if cfg.Q is None else \
+        _plant_sized(cfg.Q, "tuning.Q", (plant.n_z, plant.n_z), symmetric=True)
+    R = 0.1 * np.eye(plant.m) if cfg.R is None else \
+        _plant_sized(cfg.R, "tuning.R", (plant.m, plant.m), symmetric=True)
     A_d, B_d = rk4_discretize(plant.A, plant.B, cfg.T_s)
     input_rows = None
     if cfg.plant == "uav":
@@ -241,15 +278,14 @@ def build_controller(pipe: Pipeline):
         def refs(k):
             return np.tile(z_eq, (cfg.N_p, 1)), np.tile(v_eq, (cfg.N_p, 1))
 
-    if x0 is None:
-        x0 = np.zeros(plant.n)
+    x0 = _initial_state(x0, plant)
 
     if cfg.controller == "flmpc":
         ctl = make_flmpc_controller(spec, U, plant.phi, refs=refs)
     else:
         ctl = make_mpc_controller(spec, U, pipe.ensure_big_m(), refs=refs,
                                   ref_cells=ref_cells)
-    return ctl, np.asarray(x0, dtype=float), {"mpc_spec": spec, "refs": refs}
+    return ctl, x0, {"mpc_spec": spec, "refs": refs}
 
 
 def run_scenario(pipe: Pipeline):

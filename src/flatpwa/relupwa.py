@@ -240,12 +240,13 @@ def pwa_eval(d: PwaDecomposition, y0, tol: Tolerances = DEFAULT):
     return d.pieces[j].F @ y0 + d.pieces[j].f
 
 
-def pwa_eval_batch(d: PwaDecomposition, net: ReluNetwork, pts):
+def pwa_eval_batch(net: ReluNetwork, pts):
     """Vectorized PWA evaluation via per-point activation masks.
 
     Selecting the piece from the sign of each pre-activation row and applying
     its affine map is algebraically identical to the forward pass, so this is
-    the PWA evaluation path suitable for multi-million point grids.
+    the PWA evaluation path suitable for multi-million point grids. The masks
+    come from the network itself; no decomposition is needed.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     pre = pts @ net.W1.T + net.b1

@@ -10,9 +10,9 @@ import time
 
 import numpy as np
 
-from flatpwa.controllers import (ClfSpec, MpcSpec, flmpc_step,
+from flatpwa.controllers import (ClfSpec, MpcSpec, flmpc_step, flmpc_structure,
                                  make_clf_controller, make_mpc_controller,
-                                 mpc_step, verify_clf)
+                                 mpc_step, mpc_structure, verify_clf)
 from flatpwa.errorbounds import GridSpec, grid_error_certificate, taylor_cell_bounds
 from flatpwa.miencoding import build_admissible_union, compute_big_m, encode_horizon
 from flatpwa.miqpsolver import SolveBudget, solve_by_cell_enumeration, solve_miqp
@@ -65,13 +65,12 @@ def test_c2_pwa_exactness(request):
     for name in ("aircraft", "uav", "pmsm"):
         net = request.getfixturevalue(f"{name}_net")
         plant = request.getfixturevalue(f"{name}_plant")
-        cells = request.getfixturevalue(f"{name}_cells")
         d = plant.net_workspace.dim
         rng = np.random.default_rng(12345)
         lo = -plant.net_workspace.b[d:]
         hi = plant.net_workspace.b[:d]
         pts = rng.uniform(lo, hi, size=(10_000, d))
-        worst[name] = float(np.abs(pwa_eval_batch(cells, net, pts)
+        worst[name] = float(np.abs(pwa_eval_batch(net, pts)
                                    - forward(net, pts)).max())
     ok = all(v <= 1e-7 for v in worst.values())
     report(2, ok, "max |pwa - forward| over 1e4 points: "
@@ -247,9 +246,10 @@ def test_c10_flmpc_contrast(aircraft_union, aircraft_bigm, aircraft_plant):
     fl_forecast_viol = 0
     fl_applied_bad = 0
     mi_forecast_viol = 0
+    fl_structure = flmpc_structure(spec, aircraft_union)
     for k in range(60):
         z = aircraft_plant.to_flat(x)
-        out = flmpc_step(spec, aircraft_union, aircraft_plant.phi, z)
+        out = flmpc_step(fl_structure, aircraft_plant.phi, z)
         vals = [abs(aircraft_mod.aircraft_phi(out.z_forecast[i][0],
                                               out.v_forecast[i][0], PARAMS))
                 for i in range(spec.N_p)]
@@ -259,9 +259,10 @@ def test_c10_flmpc_contrast(aircraft_union, aircraft_bigm, aircraft_plant):
         for _ in range(100):
             x = rk4_step(aircraft_plant.closed_loop_field, x, out.v, 1e-3)
     x = np.array([0.1, 0.8])
+    mi_structure = mpc_structure(spec, aircraft_union, aircraft_bigm)
     for k in range(60):
         z = aircraft_plant.to_flat(x)
-        out = mpc_step(spec, aircraft_union, z, aircraft_bigm)
+        out = mpc_step(spec, mi_structure, z)
         vals = [abs(aircraft_mod.aircraft_phi(out.z_forecast[i][0],
                                               out.v_forecast[i][0], PARAMS))
                 for i in range(spec.N_p)]

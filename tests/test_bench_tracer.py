@@ -37,15 +37,24 @@ def test_traced_names_are_module_attributes():
                 f"{name}: {mod.__name__} has no {attr}"
 
 
-def test_tracer_sees_the_online_layers_and_restores_them():
+def _check_layers(scenario, layers):
     tracer = _tracer()
     before = _bindings(tracer.LAYERS)
-    scenario = ROOT / "src" / "flatpwa" / "data" / "scenarios" / "aircraft_mpc.yaml"
-    pipe = build_pipeline(load_scenario(scenario))
+    path = ROOT / "src" / "flatpwa" / "data" / "scenarios" / f"{scenario}.yaml"
+    pipe = build_pipeline(load_scenario(path))
     with tracer.Tracer().active() as tr:
         ctl, x0, _ = build_controller(pipe)
         ctl(pipe.plant.to_flat(np.asarray(x0)), 0)
     assert _bindings(tracer.LAYERS) == before
-    for name in ("controllers.mpc_step", "miqpsolver.solve_miqp",
-                 "numkernel.solve_qp", "numkernel.QpProblem"):
+    for name in layers:
         assert tr.layers[name].calls >= 1, name
+
+
+def test_tracer_sees_the_online_layers_and_restores_them():
+    _check_layers("aircraft_mpc", ("controllers.mpc_step", "miqpsolver.solve_miqp",
+                                   "numkernel.solve_qp", "numkernel.QpProblem"))
+
+
+def test_tracer_sees_the_clf_step_and_restores_it():
+    # a scalar-input CLF step poses no QP, so its layer is the step itself
+    _check_layers("aircraft_clf", ("controllers.clf_step",))

@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+import yaml
 
 from flatpwa.cli import main
 
@@ -63,6 +64,66 @@ def test_non_numeric_config_value_exit_code(tmp_path, capsys, field, text):
     bad.write_text("plant: aircraft\n" + text)
     assert run(["simulate", "--config", bad, "--out", tmp_path]) == 4
     assert field in capsys.readouterr().err
+
+
+def _edited(tmp_path, scenario, edits):
+    """A shipped scenario with ``edits`` applied: {"section.key": value},
+    where a value of None deletes the key."""
+    raw = yaml.safe_load((SCENARIOS / f"{scenario}.yaml").read_text())
+    for dotted, value in edits.items():
+        section, key = dotted.split(".")
+        if value is None:
+            del raw[section][key]
+        else:
+            raw.setdefault(section, {})[key] = value
+    path = tmp_path / "edited.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    return path
+
+
+ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
+
+
+@pytest.mark.parametrize("command, scenario, edits, flags, field", [
+    ("simulate", "aircraft_clf", {"tuning.P": None}, [], "tuning.P"),
+    ("simulate", "aircraft_clf", {"tuning.gamma": None}, [], "tuning.gamma"),
+    ("simulate", "aircraft_clf", {"tuning.K": None}, [], "tuning.K"),
+    ("simulate", "aircraft_clf", {"tuning.P": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]},
+     [], "tuning.P"),
+    ("simulate", "aircraft_clf", {"tuning.K": [[3.16, 2.55, 1.0]]}, [], "tuning.K"),
+    ("simulate", "aircraft_clf", {"tuning.P": ASYMMETRIC_P}, [], "tuning.P"),
+    ("verify-clf", "aircraft_clf", {"tuning.P": ASYMMETRIC_P}, [], "tuning.P"),
+    ("simulate", "aircraft_mpc", {"tuning.Q": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]},
+     [], "tuning.Q"),
+    ("simulate", "aircraft_mpc", {"tuning.Q": [[20.0, 1.0], [0.0, 0.5]]}, [], "tuning.Q"),
+    ("simulate", "aircraft_mpc", {"tuning.R": [[0.005, 0.0], [0.0, 0.005]]}, [],
+     "tuning.R"),
+    ("simulate", "aircraft_mpc", {"simulation.x0": [0.25, 0.0, 0.0]}, [],
+     "simulation.x0"),
+    ("simulate", "aircraft_clf", {"simulation.x0": [0.2]}, [], "simulation.x0"),
+    ("simulate", "aircraft_mpc", {"workspace.lower": [-1.0, -1.0, -1.0],
+                                  "workspace.upper": [1.0, 1.0, 1.0]}, [], "workspace"),
+    ("simulate", "aircraft_mpc", {}, ["--budget-ms", "-1"], "--budget-ms"),
+    ("simulate", "aircraft_mpc", {}, ["--budget-ms", "nan"], "--budget-ms"),
+], ids=["clf-P-missing", "clf-gamma-missing", "clf-K-missing", "clf-P-shape",
+        "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "mpc-Q-shape",
+        "mpc-Q-asymmetric", "mpc-R-shape", "mpc-x0-length", "clf-x0-length",
+        "workspace-dimension", "budget-ms-negative", "budget-ms-nan"])
+def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
+                                                    scenario, edits, flags,
+                                                    field):
+    cfg = _edited(tmp_path, scenario, edits)
+    assert run([command, "--config", cfg, "--out", tmp_path, *flags]) == 4
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_verify_clf_reports_a_singular_p(tmp_path):
+    # P = 0 is not positive definite: a failed check (exit 2), not an error
+    cfg = _edited(tmp_path, "aircraft_clf", {"tuning.P": [[0.0, 0.0], [0.0, 0.0]]})
+    assert run(["verify-clf", "--config", cfg, "--out", tmp_path]) == 2
+    report = json.loads((tmp_path / "clf.json").read_text())
+    assert report == {"pd_min_eig": 0.0, "lmi_max_eig": None, "pass": False}
 
 
 def test_oversized_eps_exit_code(tmp_path, capsys):

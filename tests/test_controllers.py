@@ -11,8 +11,9 @@ from hypothesis import given, settings, strategies as st
 import flatpwa
 from flatpwa import controllers, numkernel, polytope
 from flatpwa.config import load_scenario
-from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step,
-                                 mpc_step, verify_clf)
+from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, clf_structure,
+                                 flmpc_step, flmpc_structure, mpc_step,
+                                 mpc_structure, verify_clf)
 from flatpwa.miencoding import build_admissible_union, compute_big_m
 from flatpwa.miqpsolver import solve_by_cell_enumeration, solve_miqp
 from flatpwa.pipeline import build_controller, build_pipeline
@@ -38,6 +39,21 @@ def mpc_spec(aircraft_plant):
                    input_map=aircraft_plant.input_map)
 
 
+@pytest.fixture(scope="module")
+def mpc_s(mpc_spec, aircraft_union, aircraft_bigm):
+    return mpc_structure(mpc_spec, aircraft_union, aircraft_bigm)
+
+
+@pytest.fixture(scope="module")
+def flmpc_s(mpc_spec, aircraft_union):
+    return flmpc_structure(mpc_spec, aircraft_union)
+
+
+def clf(spec, U, z, plant):
+    """One CLF step on a structure built for this call."""
+    return clf_step(clf_structure(spec, U, plant.A, plant.B, plant.input_map), z)
+
+
 def test_verify_clf_trivial_pass():
     spec = ClfSpec(P=np.eye(2), gamma=0.1, gain=np.zeros((2, 2)))
     report = verify_clf(spec, np.zeros((2, 2)), np.eye(2))
@@ -59,8 +75,7 @@ def test_verify_clf_indefinite_p_fails(aircraft_plant):
 
 
 def test_clf_step_origin(clf_spec, aircraft_union, aircraft_plant):
-    out = clf_step(clf_spec, aircraft_union, np.zeros(2), aircraft_plant.A,
-                   aircraft_plant.B, input_map=aircraft_plant.input_map)
+    out = clf(clf_spec, aircraft_union, np.zeros(2), aircraft_plant)
     assert np.abs(out.v).max() <= 1e-7
 
 
@@ -79,8 +94,7 @@ def test_clf_step_interior_returns_desired(clf_spec, aircraft_union,
         y = aircraft_plant.input_map @ np.concatenate([z, vd])
         inside = min(c.polytope.residual(y) for c in aircraft_union.cells)
         if decrease < -1e-3 and inside < -1e-3:
-            out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                           aircraft_plant.B, input_map=aircraft_plant.input_map)
+            out = clf(clf_spec, aircraft_union, z, aircraft_plant)
             assert out.v[0] == pytest.approx(vd[0], abs=1e-7)
             checked += 1
     assert checked >= 20
@@ -89,8 +103,7 @@ def test_clf_step_interior_returns_desired(clf_spec, aircraft_union,
 def test_clf_step_matches_oracle(clf_spec, aircraft_union, aircraft_bigm,
                                  aircraft_plant, clf_bigm_model):
     z = np.array([0.2, 0.0])
-    out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                   aircraft_plant.B, input_map=aircraft_plant.input_map)
+    out = clf(clf_spec, aircraft_union, z, aircraft_plant)
     oracle = solve_by_cell_enumeration(
         clf_bigm_model(clf_spec, aircraft_union, z, aircraft_plant, aircraft_bigm))
     assert out.objective == pytest.approx(oracle.objective, abs=1e-7)
@@ -128,8 +141,7 @@ def test_clf_per_cell_matches_big_m_program(z1, z2, clf_spec, aircraft_union,
     bb = solve_miqp(model)
     oracle = solve_by_cell_enumeration(model)
     try:
-        out = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                       aircraft_plant.B, input_map=aircraft_plant.input_map)
+        out = clf(clf_spec, aircraft_union, z, aircraft_plant)
     except ControllerInfeasible:
         out = None
     assert bb.status in ("optimal", "infeasible")
@@ -163,6 +175,7 @@ def test_clf_step_solves_no_qp_for_a_scalar_input(monkeypatch, clf_spec,
     counted("QpProblem")
     monkeypatch.setattr(controllers, "solve_miqp", no_miqp)
     A, B, P, S = aircraft_plant.A, aircraft_plant.B, clf_spec.P, aircraft_plant.input_map
+    s = clf_structure(clf_spec, aircraft_union, A, B, S)
     rng = np.random.default_rng(4)
     seen = {"desired": 0, "other": 0}
     for _ in range(300):
@@ -173,8 +186,7 @@ def test_clf_step_solves_no_qp_for_a_scalar_input(monkeypatch, clf_spec,
         inside = [c.polytope.residual(y) for c in aircraft_union.cells]
         j = int(np.argmin(inside))
         try:
-            out = clf_step(clf_spec, aircraft_union, z, A, B, input_map=S,
-                           first_cell=j)
+            out = clf_step(s, z, first_cell=j)
         except ControllerInfeasible:
             out = None
         assert not qp_calls, qp_calls
@@ -186,7 +198,7 @@ def test_clf_step_solves_no_qp_for_a_scalar_input(monkeypatch, clf_spec,
     assert min(seen.values()) >= 20, seen
 
 
-def _clf_programs(spec, s, A, B, rng, count):
+def _clf_programs(s, rng, count):
     """(program, hints) over states from C9's box, a box beyond the
     workspace (|z1| <= 20 deg) and norms 1e-9..1e-3, where the decrease
     row's coefficients are tiny; then states whose v_d sits within 1e-3 of
@@ -201,11 +213,11 @@ def _clf_programs(spec, s, A, B, rng, count):
         else:
             direction = rng.normal(size=2)
             z = direction / np.linalg.norm(direction) * 10.0 ** rng.uniform(-9, -3)
-        yield controllers._clf_rows(spec, s, z, A, B), (None, int(rng.integers(cells)))
+        yield controllers._clf_rows(s, z), (None, int(rng.integers(cells)))
     sided = np.flatnonzero(s.G[:, 0] != 0.0)
     for _ in range(count // 4):
         z = rng.uniform([-0.2, -0.5], [0.2, 0.5])
-        h, a, r, _ = controllers._clf_rows(spec, s, z, A, B)
+        h, a, r, _ = controllers._clf_rows(s, z)
         i = rng.choice(sided)
         vd = np.array([h[i] / s.G[i, 0] + rng.uniform(-1e-3, 1e-3)])
         yield (h, a, r, vd), (None, *range(cells))
@@ -215,17 +227,17 @@ def test_clf_closed_form_matches_the_per_cell_qps(clf_spec, aircraft_union,
                                                   aircraft_plant):
     # the m = 1 closed form against the QP loop of m > 1 on the same
     # program: the same verdict, cell and input
-    A, B = aircraft_plant.A, aircraft_plant.B
-    s = controllers.clf_structure(aircraft_union, B, aircraft_plant.input_map)
+    s = clf_structure(clf_spec, aircraft_union, aircraft_plant.A, aircraft_plant.B,
+                      aircraft_plant.input_map)
     with_cost = replace(s, cost=numkernel.QpMatrices.of(2.0 * np.eye(1)))
     rng = np.random.default_rng(8)
     verdicts = {True: 0, False: 0}
     tiny_projected = hint_decided = 0
-    for rows, hints in _clf_programs(clf_spec, s, A, B, rng, 2001):
+    for rows, hints in _clf_programs(s, rng, 2001):
         unhinted = None
         for hint in hints:
-            closed = controllers._clf_intervals(s, *rows, hint, DEFAULT)
-            qps = controllers._clf_cell_qps(with_cost, *rows, hint, DEFAULT)
+            closed = controllers._clf_intervals(s, *rows, hint)
+            qps = controllers._clf_cell_qps(with_cost, *rows, hint)
             assert (closed is None) == (qps is None), (rows, hint)
             verdicts[closed is None] += 1
             if closed is None:
@@ -256,8 +268,7 @@ def test_clf_step_with_two_inputs_matches_big_m_program(pmsm_cells, pmsm_plant,
     for _ in range(12):
         z = 1.5 * rng.uniform(params.z_lower, params.z_upper)
         try:
-            out = clf_step(spec, U, z, pmsm_plant.A, pmsm_plant.B,
-                           input_map=pmsm_plant.input_map)
+            out = clf(spec, U, z, pmsm_plant)
         except ControllerInfeasible:
             out = None
         oracle = solve_by_cell_enumeration(clf_bigm_model(spec, U, z, pmsm_plant, big_m))
@@ -277,69 +288,63 @@ def test_clf_argmin_invariance_under_lyapunov_scaling(clf_spec, aircraft_union,
     for _ in range(100):
         z = rng.uniform([-0.2, -0.8], [0.2, 0.8])
         try:
-            base = clf_step(clf_spec, aircraft_union, z, aircraft_plant.A,
-                            aircraft_plant.B, input_map=aircraft_plant.input_map)
+            base = clf(clf_spec, aircraft_union, z, aircraft_plant)
         except ControllerInfeasible:
             continue
         for lam in (0.5, 3.0):
             spec = ClfSpec(P=lam * clf_spec.P, gamma=clf_spec.gamma,
                            gain=clf_spec.gain)
-            scaled = clf_step(spec, aircraft_union, z, aircraft_plant.A,
-                              aircraft_plant.B, input_map=aircraft_plant.input_map)
+            scaled = clf(spec, aircraft_union, z, aircraft_plant)
             assert scaled.v[0] == pytest.approx(base.v[0], abs=1e-6)
         checked += 1
     assert checked >= 80
 
 
-def test_online_steps_make_no_lp_calls(monkeypatch, clf_spec, mpc_spec,
-                                       aircraft_union, aircraft_bigm,
-                                       aircraft_plant):
+def test_online_steps_make_no_lp_calls(monkeypatch, clf_spec, mpc_spec, mpc_s,
+                                       aircraft_union, aircraft_plant):
     def no_lp(*args, **kwargs):
         raise AssertionError("solve_lp called on the online path")
 
     for module in (numkernel, polytope):
         monkeypatch.setattr(module, "solve_lp", no_lp)
-    clf = clf_step(clf_spec, aircraft_union, np.array([0.2, 0.0]),
-                   aircraft_plant.A, aircraft_plant.B,
-                   input_map=aircraft_plant.input_map)
-    mpc = mpc_step(mpc_spec, aircraft_union, np.array([0.25, 0.0]),
-                   aircraft_bigm)
-    assert np.isfinite(clf.objective)
+    s = clf_structure(clf_spec, aircraft_union, aircraft_plant.A, aircraft_plant.B,
+                      aircraft_plant.input_map)
+    clf_out = clf_step(s, np.array([0.2, 0.0]))
+    mpc = mpc_step(mpc_spec, mpc_s, np.array([0.25, 0.0]))
+    assert np.isfinite(clf_out.objective)
     assert mpc.result.status == "optimal"
     assert mpc.result.node_count > 1    # branch and bound really branched
 
 
-def test_mpc_step_origin(mpc_spec, aircraft_union, aircraft_bigm):
-    out = mpc_step(mpc_spec, aircraft_union, np.zeros(2), aircraft_bigm)
+def test_mpc_step_origin(mpc_spec, mpc_s):
+    out = mpc_step(mpc_spec, mpc_s, np.zeros(2))
     assert np.abs(out.v).max() <= 1e-6
     assert np.abs(out.z_forecast).max() <= 1e-6
 
 
-def test_mpc_forecast_admissible(mpc_spec, aircraft_union, aircraft_bigm,
+def test_mpc_forecast_admissible(mpc_spec, mpc_s, aircraft_union,
                                  aircraft_plant):
-    out = mpc_step(mpc_spec, aircraft_union, np.array([0.25, 0.0]),
-                   aircraft_bigm)
+    out = mpc_step(mpc_spec, mpc_s, np.array([0.25, 0.0]))
     for i in range(mpc_spec.N_p):
         y = aircraft_plant.input_map @ np.concatenate(
             [out.z_forecast[i], out.v_forecast[i]])
         assert locate_cell(aircraft_union, y) >= 0
 
 
-def test_mpc_infeasible_surfaces(mpc_spec, aircraft_union, aircraft_bigm):
+def test_mpc_infeasible_surfaces(mpc_spec, mpc_s):
     with pytest.raises(ControllerInfeasible):
-        mpc_step(mpc_spec, aircraft_union, np.array([0.5, 0.0]), aircraft_bigm)
+        mpc_step(mpc_spec, mpc_s, np.array([0.5, 0.0]))
 
 
-def test_flmpc_origin(mpc_spec, aircraft_union, aircraft_plant):
-    out = flmpc_step(mpc_spec, aircraft_union, aircraft_plant.phi, np.zeros(2))
+def test_flmpc_origin(flmpc_s, aircraft_plant):
+    out = flmpc_step(flmpc_s, aircraft_plant.phi, np.zeros(2))
     assert np.abs(out.v).max() <= 1e-6
 
 
-def test_flmpc_first_input_admissible_forecast_not(mpc_spec, aircraft_union,
+def test_flmpc_first_input_admissible_forecast_not(mpc_spec, flmpc_s,
                                                    aircraft_plant):
     params = aircraft_plant.extras["params"]
-    out = flmpc_step(mpc_spec, aircraft_union, aircraft_plant.phi,
-                     np.array([0.1, 0.8]))
+    out = flmpc_step(flmpc_s, aircraft_plant.phi, np.array([0.1, 0.8]))
     assert np.abs(out.first_input_value).max() <= params.u_max_scaled + 1e-6
     forecast_vals = [abs(aircraft_phi(out.z_forecast[i][0],
                                       out.v_forecast[i][0], params))
@@ -347,11 +352,10 @@ def test_flmpc_first_input_admissible_forecast_not(mpc_spec, aircraft_union,
     assert max(forecast_vals[1:]) > params.u_max_scaled
 
 
-def test_flmpc_state_rows_hold_over_forecast(mpc_spec, aircraft_union,
+def test_flmpc_state_rows_hold_over_forecast(mpc_spec, flmpc_s,
                                              aircraft_plant):
     params = aircraft_plant.extras["params"]
-    out = flmpc_step(mpc_spec, aircraft_union, aircraft_plant.phi,
-                     np.array([0.2, 0.3]))
+    out = flmpc_step(flmpc_s, aircraft_plant.phi, np.array([0.2, 0.3]))
     assert out.z_forecast[:mpc_spec.N_p, 0].max() <= params.phi_stall + 1e-8
 
 

@@ -58,7 +58,7 @@ def test_self_approximation_certificate(aircraft_net, aircraft_cells):
     g = GridSpec.symmetric([0.02, 0.2], [PARAMS.phi_bar, PARAMS.v_bar])
 
     def self_map(pts):
-        return pwa_eval_batch(aircraft_cells, aircraft_net, pts)[:, 0]
+        return pwa_eval_batch(aircraft_net, pts)[:, 0]
 
     gamma_nn = pwa_lipschitz(aircraft_cells)
     cert = grid_error_certificate(self_map, aircraft_cells, aircraft_net, g,
@@ -107,7 +107,7 @@ def test_certificate_argmax_owns_its_data(aircraft_net, aircraft_cells):
     cert = grid_error_certificate(aircraft_true, aircraft_cells, aircraft_net,
                                   g, 30.0, chunk_rows=100)
     assert cert.argmax.base is None and cert.argmax.shape == (2,)
-    nn = pwa_eval_batch(aircraft_cells, aircraft_net, cert.argmax[None, :])
+    nn = pwa_eval_batch(aircraft_net, cert.argmax[None, :])
     err = abs(aircraft_true(cert.argmax[None, :])[0] - nn[0, 0])
     assert err == pytest.approx(cert.eps_tilde[0], rel=1e-12)
 

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from flatpwa.miencoding import (BigMData, build_admissible_union, compute_big_m,
-                                encode_horizon, encode_point, encode_step,
-                                validate_big_m_override)
+                                encode_horizon, encode_point, lift_rows,
+                                step_rows, validate_big_m_override)
 from flatpwa.polytope import HPolytope
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.simulate import rk4_discretize
@@ -79,25 +79,29 @@ def test_big_m_override_rejects_small(aircraft_union, aircraft_plant):
         validate_big_m_override(aircraft_union, aircraft_plant.net_workspace, 1.0)
 
 
-def test_encode_step_single_cell_hard_rows():
+def test_step_rows_single_cell_hard_rows():
     _, d = identity_pwa()
     U = build_admissible_union(d, u_max=1.0, eps=0.0)
     bigm = BigMData.uniform(U, 100.0)
-    G, h, card, card_rhs = encode_step(U, bigm, zeta_cols=[0], beta_cols=[],
-                                       total_vars=1)
-    assert card is None and card_rhs is None
+    G, h = step_rows(U, bigm, None, 1)
+    # no binary, so no cardinality row in the point encoding either
+    E, d_card = encode_point(U, [], bigm, None, 0, 1)[2:4]
+    assert E.shape[0] == 0 and d_card.size == 0
     # rows are emitted without any big-M column
     assert G.shape[1] == 1
+    assert G.tobytes() == lift_rows(U, None, 1).tobytes()
 
 
-def test_encode_step_cardinality_semantics(aircraft_union, aircraft_bigm):
+def test_step_rows_cardinality_semantics(aircraft_union, aircraft_bigm):
     n_cells = len(aircraft_union)
     total = 2 + n_cells
-    G, h, card, card_rhs = encode_step(aircraft_union, aircraft_bigm,
-                                       zeta_cols=[0, 1],
-                                       beta_cols=[2, 3, 4], total_vars=total)
-    assert card_rhs == n_cells - 1
-    assert np.allclose(card[2:], 1.0)
+    G, h = step_rows(aircraft_union, aircraft_bigm, None, 2)
+    assert G.shape == (h.size, total)
+    # the point encoding's cardinality row over the same binaries
+    E, d_card = encode_point(aircraft_union, np.zeros(1), aircraft_bigm,
+                             np.eye(2), 1, 1)[2:4]
+    assert d_card[0] == n_cells - 1
+    assert np.allclose(E[0, 1:], 1.0)
     # beta = (1, 1, 0): only the third cell's rows are active
     x = np.zeros(total)
     x[:2] = [0.0, 0.0]

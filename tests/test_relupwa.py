@@ -109,12 +109,11 @@ def test_pwa_eval_outside_workspace(aircraft_cells):
 def test_pwa_exactness_random(fixture, request):
     net = request.getfixturevalue(f"{fixture}_net")
     plant = request.getfixturevalue(f"{fixture}_plant")
-    cells = request.getfixturevalue(f"{fixture}_cells")
     rng = np.random.default_rng(42)
     lo = -plant.net_workspace.b[plant.net_workspace.dim:]
     hi = plant.net_workspace.b[:plant.net_workspace.dim]
     pts = rng.uniform(lo, hi, size=(10_000, plant.net_workspace.dim))
-    err = np.abs(pwa_eval_batch(cells, net, pts) - forward(net, pts)).max()
+    err = np.abs(pwa_eval_batch(net, pts) - forward(net, pts)).max()
     assert err <= 1e-7
 
 
