@@ -158,6 +158,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
+        if args.threads < 1:
+            raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
         cfg = load_scenario(args.config)
         if args.budget_ms is not None:
             cfg.max_ms = parse_max_ms(args.budget_ms, "--budget-ms")

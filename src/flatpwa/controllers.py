@@ -35,7 +35,6 @@ class ClfSpec:
     P: np.ndarray
     gamma: float
     gain: np.ndarray | None = None       # v_d(z) = -gain @ z
-    v_desired: object = None             # overrides gain when given
 
     def __post_init__(self):
         self.P = np.atleast_2d(np.asarray(self.P, dtype=float))
@@ -43,10 +42,8 @@ class ClfSpec:
             self.gain = np.atleast_2d(np.asarray(self.gain, dtype=float))
 
     def v_d(self, z):
-        if self.v_desired is not None:
-            return np.atleast_1d(np.asarray(self.v_desired(z), dtype=float))
         if self.gain is None:
-            raise ValueError("ClfSpec needs a gain or a v_desired callback")
+            raise ValueError("ClfSpec needs a gain")
         return -self.gain @ np.asarray(z, dtype=float)
 
     def V(self, z):

@@ -97,10 +97,10 @@ class BigMData:
 
 
 def compute_big_m(U: AdmissibleUnion, Z_box: HPolytope) -> BigMData:
-    """Smallest sound per-row big-M constants over the bounded region Z_box.
+    """Smallest sound per-row big-M constants over the box Z_box.
 
     Each row constant is max_{zeta in Z_box} (Theta_j zeta - theta_j),
-    floored at zero; one LP per row.
+    floored at zero, read in closed form from the box's corners.
     """
     per_row = []
     per_cell = []

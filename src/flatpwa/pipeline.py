@@ -19,7 +19,8 @@ from .errorbounds import GridSpec, grid_error_certificate, taylor_cell_bounds
 from .miencoding import (BigMData, build_admissible_union, compute_big_m,
                          validate_big_m_override)
 from .miqpsolver import SolveBudget
-from .polytope import HPolytope
+from .numkernel import eig_sym
+from .polytope import HPolytope, box_bounds
 from .relupwa import ReluNetwork, enumerate_cells
 from .simulate import locate_cell, rk4_discretize, run_closed_loop
 from .tolerances import DEFAULT
@@ -114,20 +115,16 @@ def certification_problem(pipe: Pipeline):
     cfg = pipe.cfg
     if cfg.plant == "aircraft":
         params = pipe.plant.extras["params"]
-        lo = np.array([-params.phi_bar, -params.v_bar])
-        hi = -lo
         gamma = aircraft_mod.aircraft_lipschitz(params)["gamma_phi"]
 
         def true_map(pts):
             return aircraft_mod.aircraft_phi(pts[:, 0], pts[:, 1], params)
 
-        return true_map, pipe.net, (lo, hi), np.array([gamma]), pipe.ensure_cells()
+        return true_map, pipe.net, box_bounds(pipe.plant.net_workspace), \
+            np.array([gamma]), pipe.ensure_cells()
     if cfg.plant == "uav":
-        params = pipe.plant.extras["params"]
-        lo = np.array([params.velocity_lo] * 2)
-        hi = np.array([params.velocity_hi] * 2)
-        return uav_mod.speed_map, pipe.net, (lo, hi), np.array([1.0]), \
-            pipe.ensure_cells()
+        return uav_mod.speed_map, pipe.net, box_bounds(pipe.plant.net_workspace), \
+            np.array([1.0]), pipe.ensure_cells()
     if cfg.plant == "pmsm":
         params = pipe.plant.extras["params"]
         sub, _ = pmsm_mod.split_network(pipe.net, params)
@@ -226,6 +223,9 @@ def build_controller(pipe: Pipeline):
 
     if cfg.controller == "clf":
         spec = clf_spec(pipe)
+        if eig_sym(spec.P)[0] <= 0.0:
+            # the decrease row would not make V a Lyapunov function
+            raise ConfigError("tuning.P: must be positive definite")
         x0 = _initial_state(cfg.x0, plant)
         ctl = make_clf_controller(spec, U, plant.A, plant.B,
                                   input_map=plant.input_map)

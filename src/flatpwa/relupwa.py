@@ -7,7 +7,7 @@ affine,
     f(alpha) = sum_k 1/2 * W2[:, k] (alpha_k + 1) b1[k] + b2,
 
 valid on the half-space intersection ``-alpha_k W1[k,:] y <= alpha_k b1[k]``.
-Enumerating all sign vectors over a bounded workspace and discarding the
+Enumerating all sign vectors over a workspace box and discarding the
 empty intersections yields an exact PWA representation of the network.
 """
 
@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polytope import HPolytope, StackedRows, intersect, is_empty
+from .polytope import HPolytope, StackedRows, box_bounds, intersect, is_empty
 from .tolerances import DEFAULT, Tolerances
 
 ENUMERATION_WIDTH_GUARD = 25
@@ -171,23 +171,10 @@ def piece_for_pattern(net: ReluNetwork, alpha, workspace: HPolytope,
 
 
 def _forced_signs(net: ReluNetwork, workspace: HPolytope):
-    """Per-neuron sign forced by interval bounds over the workspace's
-    bounding box (sound: the box contains the workspace, so a pre-activation
-    positive over the whole box is positive on the workspace)."""
-    from .numkernel import LpProblem, solve_lp
-
-    d = workspace.dim
-    lo = np.empty(d)
-    hi = np.empty(d)
-    for i in range(d):
-        c = np.zeros(d)
-        c[i] = 1.0
-        r_min = solve_lp(LpProblem(c, G=workspace.A, h=workspace.b))
-        r_max = solve_lp(LpProblem(-c, G=workspace.A, h=workspace.b))
-        if r_min.status != "optimal" or r_max.status != "optimal":
-            return np.zeros(net.n1, dtype=int)  # unbounded box: nothing forced
-        lo[i] = r_min.objective
-        hi[i] = -r_max.objective
+    """Per-neuron sign forced by interval bounds over the workspace box: a
+    pre-activation that keeps one sign over the whole box keeps it in every
+    cell, so the opposite sign's patterns are empty."""
+    lo, hi = box_bounds(workspace)
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
     mid = net.W1 @ center + net.b1
@@ -203,7 +190,8 @@ def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
                     width_guard: int = ENUMERATION_WIDTH_GUARD) -> PwaDecomposition:
     """Exhaustive cell enumeration over all 2^n1 activation patterns.
 
-    Neurons whose pre-activation keeps one sign over the whole workspace are
+    ``workspace`` is a box (``HPolytope.box``); any other polytope raises
+    ValueError. Neurons whose pre-activation keeps one sign over the box are
     fixed up front (their opposite-sign patterns are empty by construction),
     which prunes the 2^n1 loop without giving up exactness; every surviving
     candidate is still certified non-empty by a feasibility LP.

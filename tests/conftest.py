@@ -5,6 +5,7 @@ from flatpwa.miencoding import (MiqpModel, build_admissible_union, encode_point,
                                 validate_big_m_override)
 from flatpwa.plants import aircraft, pmsm, uav
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
+from flatpwa.tolerances import DEFAULT
 
 
 def _data(name):
@@ -93,6 +94,22 @@ def uav_cells(uav_net, uav_plant):
 @pytest.fixture(scope="session")
 def pmsm_cells(pmsm_net, pmsm_plant):
     return enumerate_cells(pmsm_net, pmsm_plant.net_workspace)
+
+
+def _piece_values(cells, pts):
+    """The decomposition's own value at each point: the batch locator picks
+    a piece and its F, f are applied. Points it places in no cell (-1) are
+    dropped; returns (kept points, values)."""
+    j = cells.stacked.locate(pts, DEFAULT.feas)
+    inside = j >= 0
+    F = np.stack([p.F for p in cells.pieces])[j[inside]]
+    f = np.stack([p.f for p in cells.pieces])[j[inside]]
+    return pts[inside], np.einsum("nij,nj->ni", F, pts[inside]) + f
+
+
+@pytest.fixture(scope="session")
+def piece_values():
+    return _piece_values
 
 
 # the cell of the published big-M appendix: the fully-active aircraft cell

@@ -19,8 +19,8 @@ from flatpwa.miqpsolver import SolveBudget, solve_by_cell_enumeration, solve_miq
 from flatpwa.numkernel import OPTIMAL
 from flatpwa.plants import aircraft as aircraft_mod
 from flatpwa.plants import uav as uav_mod
-from flatpwa.polytope import max_row_violation
-from flatpwa.relupwa import enumerate_cells, forward, pwa_eval_batch, pwa_lipschitz
+from flatpwa.polytope import box_bounds, max_row_violation
+from flatpwa.relupwa import enumerate_cells, forward, pwa_lipschitz
 from flatpwa.simulate import (ControllerInfeasible, locate_cell, rk4_discretize,
                               rk4_integrate, rk4_step, run_closed_loop)
 
@@ -60,21 +60,25 @@ def test_c1_cell_counts(aircraft_net, aircraft_plant, uav_net, uav_plant,
                   "(expect 3/14/10, < 1 s each)")
 
 
-def test_c2_pwa_exactness(request):
+def test_c2_pwa_exactness(request, piece_values):
+    # the enumerated pieces themselves: locate each point's cell, apply its F, f
     worst = {}
+    located = {}
     for name in ("aircraft", "uav", "pmsm"):
         net = request.getfixturevalue(f"{name}_net")
         plant = request.getfixturevalue(f"{name}_plant")
-        d = plant.net_workspace.dim
+        cells = request.getfixturevalue(f"{name}_cells")
         rng = np.random.default_rng(12345)
-        lo = -plant.net_workspace.b[d:]
-        hi = plant.net_workspace.b[:d]
-        pts = rng.uniform(lo, hi, size=(10_000, d))
-        worst[name] = float(np.abs(pwa_eval_batch(net, pts)
-                                   - forward(net, pts)).max())
-    ok = all(v <= 1e-7 for v in worst.values())
-    report(2, ok, "max |pwa - forward| over 1e4 points: "
-                  f"{ {k: f'{v:.2e}' for k, v in worst.items()} } (<= 1e-7)")
+        lo, hi = box_bounds(plant.net_workspace)
+        pts = rng.uniform(lo, hi, size=(10_000, lo.size))
+        kept, vals = piece_values(cells, pts)
+        located[name] = len(kept)
+        worst[name] = float(np.abs(vals - forward(net, kept)).max())
+    ok = all(v <= 1e-7 for v in worst.values()) \
+        and all(n >= 9_990 for n in located.values())
+    report(2, ok, "max |piece F y + f - forward| over 1e4 points: "
+                  f"{ {k: f'{v:.2e}' for k, v in worst.items()} } (<= 1e-7), "
+                  f"located {located}")
 
 
 def test_c3_lipschitz_constants(aircraft_cells):

@@ -93,6 +93,10 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
     ("simulate", "aircraft_clf", {"tuning.K": [[3.16, 2.55, 1.0]]}, [], "tuning.K"),
     ("simulate", "aircraft_clf", {"tuning.P": ASYMMETRIC_P}, [], "tuning.P"),
     ("verify-clf", "aircraft_clf", {"tuning.P": ASYMMETRIC_P}, [], "tuning.P"),
+    ("simulate", "aircraft_clf", {"tuning.P": [[0.0, 0.0], [0.0, 0.0]]}, [],
+     "tuning.P"),
+    ("simulate", "aircraft_clf", {"tuning.P": [[1.0, 0.0], [0.0, -1.0]]}, [],
+     "tuning.P"),
     ("simulate", "aircraft_mpc", {"tuning.Q": [[1.0, 0, 0], [0, 1.0, 0], [0, 0, 1.0]]},
      [], "tuning.Q"),
     ("simulate", "aircraft_mpc", {"tuning.Q": [[20.0, 1.0], [0.0, 0.5]]}, [], "tuning.Q"),
@@ -105,10 +109,15 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
                                   "workspace.upper": [1.0, 1.0, 1.0]}, [], "workspace"),
     ("simulate", "aircraft_mpc", {}, ["--budget-ms", "-1"], "--budget-ms"),
     ("simulate", "aircraft_mpc", {}, ["--budget-ms", "nan"], "--budget-ms"),
+    ("certify", "uav_tracking", {"grid.deltas": [0.5, 0.5]}, ["--threads", "0"],
+     "--threads"),
+    ("certify", "uav_tracking", {"grid.deltas": [0.5, 0.5]}, ["--threads", "-3"],
+     "--threads"),
 ], ids=["clf-P-missing", "clf-gamma-missing", "clf-K-missing", "clf-P-shape",
-        "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "mpc-Q-shape",
-        "mpc-Q-asymmetric", "mpc-R-shape", "mpc-x0-length", "clf-x0-length",
-        "workspace-dimension", "budget-ms-negative", "budget-ms-nan"])
+        "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "clf-P-zero",
+        "clf-P-indefinite", "mpc-Q-shape", "mpc-Q-asymmetric", "mpc-R-shape",
+        "mpc-x0-length", "clf-x0-length", "workspace-dimension", "budget-ms-negative",
+        "budget-ms-nan", "threads-zero", "threads-negative"])
 def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
                                                     scenario, edits, flags,
                                                     field):
@@ -185,6 +194,22 @@ def test_certify_reports_taylor_table(tmp_path):
     assert report["grid_certificate"]["grid_points"] > 0
     assert len(report["taylor_cells"]) == 3
     assert report["lipschitz"]["gamma_phi"] == pytest.approx(29.42, abs=0.05)
+
+
+def test_certify_threads_match_serial(tmp_path):
+    # the pool evaluates the serial run's chunks and merges them in order
+    cfg = _edited(tmp_path, "uav_tracking", {"grid.deltas": [0.5, 0.5]})
+    certs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        assert run(["certify", "--config", cfg, "--out", out,
+                    "--threads", threads]) == 0
+        certs.append(json.loads((out / "certificate.json").read_text())
+                     ["grid_certificate"])
+    serial, pooled = certs
+    assert serial["grid_points"] == pooled["grid_points"] > 0
+    assert pooled["eps_bar"] == serial["eps_bar"]
+    assert pooled["argmax"] == serial["argmax"]
 
 
 def test_certify_budget_exit_code(tmp_path):

@@ -112,6 +112,17 @@ def test_certificate_argmax_owns_its_data(aircraft_net, aircraft_cells):
     assert err == pytest.approx(cert.eps_tilde[0], rel=1e-12)
 
 
+def test_certificate_threads_match_serial_over_chunks(aircraft_net, aircraft_cells):
+    # many chunks: the pool's results must merge in the serial run's order
+    g = GridSpec.symmetric([0.02, 0.1], [PARAMS.phi_bar, PARAMS.v_bar])
+    serial, pooled = (grid_error_certificate(aircraft_true, aircraft_cells,
+                                             aircraft_net, g, 30.0, threads=threads,
+                                             chunk_rows=100)
+                      for threads in (1, 2))
+    assert pooled.eps_bar.tobytes() == serial.eps_bar.tobytes()
+    assert pooled.argmax.tobytes() == serial.argmax.tobytes()
+
+
 def test_taylor_cell_bounds_affine_exact():
     # affine true map approximated by itself: both terms vanish
     from flatpwa.relupwa import ReluNetwork, enumerate_cells

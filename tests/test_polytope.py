@@ -1,9 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from flatpwa.miencoding import build_admissible_union
-from flatpwa.polytope import (HPolytope, StackedRows, chebyshev_center, find_point,
-                              intersect, is_empty, max_row_violation, vertices)
+from flatpwa import numkernel, polytope, relupwa
+from flatpwa.config import load_scenario
+from flatpwa.miencoding import build_admissible_union, compute_big_m
+from flatpwa.numkernel import OPTIMAL, LpProblem, solve_lp
+from flatpwa.pipeline import build_pipeline
+from flatpwa.polytope import (HPolytope, StackedRows, box_bounds, chebyshev_center,
+                              find_point, intersect, is_empty, max_row_violation,
+                              row_violations, vertices)
+from flatpwa.relupwa import enumerate_cells
+
+SCENARIOS = Path(__file__).parents[1] / "src" / "flatpwa" / "data" / "scenarios"
 
 
 def unit_box(d=2):
@@ -138,7 +148,7 @@ def test_max_row_violation_paper_cell(paper_cell2, aircraft_plant):
     assert M == pytest.approx(4.3247, abs=1e-2)
 
 
-def test_max_row_violation_unbounded_region():
+def test_max_row_violation_region_not_a_box():
     with pytest.raises(ValueError):
         max_row_violation(unit_box(1), HPolytope([[1.0]], [1.0]))
 
@@ -147,8 +157,7 @@ def test_row_violation_bounds_sampled(paper_cell2, aircraft_plant):
     Z = aircraft_plant.net_workspace
     M = max_row_violation(paper_cell2, Z)
     rng = np.random.default_rng(1)
-    lo = -Z.b[2:]
-    hi = Z.b[:2]
+    lo, hi = box_bounds(Z)
     pts = rng.uniform(lo, hi, size=(2000, 2))
     worst = (pts @ paper_cell2.A.T - paper_cell2.b).max()
     assert worst <= M + 1e-9
@@ -186,3 +195,78 @@ def test_stacked_rows_locate_tie_rule_and_reference(uav_cells):
     batch = uav_cells.stacked.locate(pts, 1e-8)
     for y, j in zip(pts, batch):
         assert uav_cells.stacked.locate(y, 1e-8) == first_smallest(polys, y) == j
+
+
+def lp_row_violations(P, Z):
+    """Reference: one HiGHS LP per row, max_{x in Z} a_j x - b_j."""
+    out = []
+    for a, b in zip(P.A, P.b):
+        res = solve_lp(LpProblem(-a, G=Z.A, h=Z.b))
+        assert res.status == OPTIMAL
+        out.append(-res.objective - b)
+    return np.array(out)
+
+
+def test_box_bounds_round_trip():
+    lo, hi = np.array([-2.0, 0.0, 3.5]), np.array([1.0, 0.0, 7.25])
+    got_lo, got_hi = box_bounds(HPolytope.box(lo, hi))
+    assert got_lo.tobytes() == lo.tobytes() and got_hi.tobytes() == hi.tobytes()
+
+
+@pytest.mark.parametrize("Z", [
+    HPolytope([[1.0]], [1.0]),                                    # half-line
+    HPolytope(np.vstack([np.eye(2), -np.eye(2)])
+              @ np.array([[np.cos(0.3), -np.sin(0.3)],
+                          [np.sin(0.3), np.cos(0.3)]]), np.ones(4)),   # rotated box
+], ids=["half-line", "rotated-box"])
+def test_box_bounds_rejects_other_polytopes(Z):
+    with pytest.raises(ValueError):
+        box_bounds(Z)
+
+
+def test_row_violations_match_per_row_lp_on_random_rows():
+    rng = np.random.default_rng(7)
+    for d in (1, 2, 3, 5):
+        for _ in range(10):
+            lo = rng.uniform(-10.0, 5.0, size=d)
+            Z = HPolytope.box(lo, lo + rng.uniform(0.0, 10.0, size=d))
+            # some exact zeros: a zero coefficient may take either bound
+            A = rng.normal(size=(8, d)) * rng.choice([0.0, 1.0], size=(8, d), p=[0.2, 0.8])
+            A[np.abs(A).max(axis=1) == 0.0, 0] = 1.0
+            P = HPolytope(A, rng.normal(size=8))
+            assert row_violations(P, Z) == pytest.approx(lp_row_violations(P, Z),
+                                                         rel=1e-12, abs=1e-12)
+
+
+@pytest.fixture(scope="module")
+def shipped_pipelines():
+    return [build_pipeline(load_scenario(SCENARIOS / f"{name}.yaml"))
+            for name in ("aircraft_mpc", "pmsm_case1", "uav_tracking")]
+
+
+def test_row_violations_match_per_row_lp_on_shipped_unions(shipped_pipelines):
+    for pipe in shipped_pipelines:
+        for cell in pipe.ensure_union().cells:
+            assert row_violations(cell.polytope, pipe.workspace) == pytest.approx(
+                lp_row_violations(cell.polytope, pipe.workspace), rel=1e-12, abs=1e-12)
+
+
+def test_set_up_solves_lps_only_for_emptiness(monkeypatch, shipped_pipelines):
+    # one feasibility LP per candidate pattern; big-M sizing solves none
+    lp_calls = []
+    candidates = []
+    piece_for_pattern = relupwa.piece_for_pattern
+    for module in (numkernel, polytope):
+        monkeypatch.setattr(module, "solve_lp",
+                            lambda *a, **k: lp_calls.append(1) or solve_lp(*a, **k))
+    monkeypatch.setattr(relupwa, "piece_for_pattern",
+                        lambda *a, **k: candidates.append(1) or piece_for_pattern(*a, **k))
+    for pipe in shipped_pipelines:
+        U = pipe.ensure_union()
+        lp_calls.clear()
+        candidates.clear()
+        enumerate_cells(pipe.net, pipe.workspace)
+        assert len(lp_calls) == len(candidates) > 0
+        lp_calls.clear()
+        compute_big_m(U, pipe.workspace)
+        assert lp_calls == []

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flatpwa.plants.aircraft import aircraft_phi
-from flatpwa.polytope import chebyshev_center
+from flatpwa.polytope import box_bounds, chebyshev_center
 from flatpwa.relupwa import (ReluNetwork, enumerate_cells, forward, pwa_eval,
                              pwa_eval_batch, pwa_lipschitz)
 
@@ -106,15 +106,19 @@ def test_pwa_eval_outside_workspace(aircraft_cells):
 
 
 @pytest.mark.parametrize("fixture", ["aircraft", "uav", "pmsm"])
-def test_pwa_exactness_random(fixture, request):
+def test_pwa_exactness_random(fixture, request, piece_values):
+    # each piece's F, f on the points its cell holds reproduce the network
     net = request.getfixturevalue(f"{fixture}_net")
     plant = request.getfixturevalue(f"{fixture}_plant")
+    cells = request.getfixturevalue(f"{fixture}_cells")
     rng = np.random.default_rng(42)
-    lo = -plant.net_workspace.b[plant.net_workspace.dim:]
-    hi = plant.net_workspace.b[:plant.net_workspace.dim]
-    pts = rng.uniform(lo, hi, size=(10_000, plant.net_workspace.dim))
-    err = np.abs(pwa_eval_batch(net, pts) - forward(net, pts)).max()
-    assert err <= 1e-7
+    lo, hi = box_bounds(plant.net_workspace)
+    pts = rng.uniform(lo, hi, size=(10_000, lo.size))
+    kept, vals = piece_values(cells, pts)
+    assert len(kept) >= 9_990
+    assert np.abs(vals - forward(net, kept)).max() <= 1e-7
+    # the grid certificate's mask form is the forward pass
+    assert np.abs(pwa_eval_batch(net, pts) - forward(net, pts)).max() <= 1e-7
 
 
 def test_pattern_consistency(aircraft_net, aircraft_cells):
