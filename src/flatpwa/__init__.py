@@ -3,9 +3,9 @@ approximation errors, and mixed-integer constrained control (CLF / MPC) for
 feedback-linearized differentially flat systems."""
 
 from .tolerances import DEFAULT, Tolerances
-from .numkernel import LpProblem, LpResult, QpProblem, QpResult, solve_lp, solve_qp, eig_sym
-from .polytope import (HPolytope, VertexSet, box_bounds, chebyshev_center, intersect,
-                       is_empty, max_row_violation, row_violations, vertices)
+from .numkernel import QpProblem, QpResult, solve_qp, eig_sym
+from .polytope import (HPolytope, VertexSet, box_bounds, intersect, is_empty,
+                       max_row_violation, row_violations, vertices)
 from .relupwa import (AffinePiece, PwaDecomposition, ReluNetwork, enumerate_cells,
                       forward, piece_for_pattern, pwa_eval, pwa_lipschitz)
 from .errorbounds import (ErrorCertificate, GridSpec, TaylorCellBound,

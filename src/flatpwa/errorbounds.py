@@ -15,8 +15,10 @@ Two routes:
 from __future__ import annotations
 
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -145,6 +147,18 @@ def _grid_chunks(grid: GridSpec, chunk_rows):
         yield pts
 
 
+def _bounded_map(pool, fn, items, depth):
+    """``pool.map(fn, items)``, in order, that draws the next item only once a
+    result is taken, so at most ``depth`` items are held at a time
+    (``Executor.map`` draws them all up front)."""
+    items = iter(items)
+    pending = deque(pool.submit(fn, x) for x in islice(items, depth))
+    while pending:
+        result = pending.popleft().result()
+        pending.extend(pool.submit(fn, x) for x in islice(items, 1))
+        yield result
+
+
 def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
                            gamma_phi, threads: int = 1,
                            point_budget: int = GRID_POINT_BUDGET,
@@ -154,7 +168,9 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     ``phi`` maps an (N, n_in) batch to (N,) or (N, n_out) true values; the
     surrogate is evaluated through its piece maps (activation-mask selection,
     identical to the forward pass). gamma_eps = gamma_phi + gamma_nn via the
-    triangle inequality.
+    triangle inequality. The grid is evaluated in chunks of ``chunk_rows``
+    points; ``threads`` workers take chunks of ``chunk_rows // threads``, at
+    most ``threads`` at a time, so the points held do not grow with them.
     """
     total = grid.num_points
     if total > point_budget:
@@ -180,10 +196,10 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     t0 = time.perf_counter()
     best = np.zeros(n_out)
     arg = None
-    chunks = _grid_chunks(grid, chunk_rows)
+    chunks = _grid_chunks(grid, max(1, chunk_rows // threads))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(eval_chunk, chunks))
+            results = list(_bounded_map(pool, eval_chunk, chunks, threads))
     else:
         results = [eval_chunk(pts) for pts in chunks]
     for m, pt in results:

@@ -1,12 +1,13 @@
-"""Dense LP / convex-QP kernel.
+"""Dense convex-QP kernel, and the HiGHS LP reference.
 
-Linear programs are delegated to the HiGHS solver behind a small problem
-record. They serve the offline geometry only: cell enumeration, big-M
-constants, emptiness tests and Chebyshev centres. Quadratic programs are
-solved by a dual active-set method (Goldfarb & Idnani) that needs no
-feasible start, so no QP calls the LP backend; infeasibility and the
-iteration cap come back as statuses, and a branch-and-bound child warm
-starts from its parent's working set.
+Quadratic programs are solved by a dual active-set method (Goldfarb &
+Idnani) that needs no feasible start; infeasibility and the iteration cap
+come back as statuses, and a branch-and-bound child warm starts from its
+parent's working set. It answers every question the pipeline asks, the
+offline feasibility ones included: ``polytope.find_point`` is a
+minimum-norm QP. ``solve_lp`` hands an LP to HiGHS (through scipy); no
+pipeline code calls it, and it stays as the reference the tests compare
+the kernel against.
 
 What a QP's matrices alone determine (the checks on H, G and E, G's row
 norms and the factors of H and E) is one ``QpMatrices`` record. A

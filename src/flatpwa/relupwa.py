@@ -194,7 +194,7 @@ def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
     ValueError. Neurons whose pre-activation keeps one sign over the box are
     fixed up front (their opposite-sign patterns are empty by construction),
     which prunes the 2^n1 loop without giving up exactness; every surviving
-    candidate is still certified non-empty by a feasibility LP.
+    candidate is still certified non-empty by `is_empty`.
     """
     if net.n1 > width_guard:
         raise ValueError(

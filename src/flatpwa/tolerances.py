@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    # absolute per-row feasibility residual accepted by LP/QP/polytope code
+    # per-row feasibility residual accepted by the QP kernel and the polytope
+    # predicates; find_point scales rows to unit norm, so there it is a
+    # distance (HiGHS, the tests' LP reference, applies its own 1e-7)
     feas: float = 1e-8
     # KKT residual accepted for a QP solution; also the gradient change at
     # which the QP kernel's proximal passes stop

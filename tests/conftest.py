@@ -3,6 +3,7 @@ import pytest
 
 from flatpwa.miencoding import (MiqpModel, build_admissible_union, encode_point,
                                 validate_big_m_override)
+from flatpwa.numkernel import OPTIMAL, LpProblem, solve_lp
 from flatpwa.plants import aircraft, pmsm, uav
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.tolerances import DEFAULT
@@ -110,6 +111,23 @@ def _piece_values(cells, pts):
 @pytest.fixture(scope="session")
 def piece_values():
     return _piece_values
+
+
+def _chebyshev_center(P):
+    """Center and radius of the largest Euclidean ball inside P (HiGHS LP);
+    the radius is ~0 for a cell with empty interior."""
+    norms = np.linalg.norm(P.A, axis=1)
+    c = np.zeros(P.dim + 1)
+    c[-1] = -1.0
+    res = solve_lp(LpProblem(c, G=np.hstack([P.A, norms[:, None]]), h=P.b,
+                             bounds=[(None, None)] * P.dim + [(0.0, None)]))
+    assert res.status == OPTIMAL
+    return res.x[:-1], float(res.x[-1])
+
+
+@pytest.fixture(scope="session")
+def chebyshev_center():
+    return _chebyshev_center
 
 
 # the cell of the published big-M appendix: the fully-active aircraft cell

@@ -361,8 +361,15 @@ def test_flmpc_state_rows_hold_over_forecast(mpc_spec, flmpc_s,
 
 # --- matrix records: built once per controller, freed with it ---------------
 
-def _shipped_controller(name):
+def _shipped_pipeline(name):
+    """A shipped scenario with its cells, union and big-M built (set-up
+    poses one emptiness QP per candidate cell)."""
     pipe = build_pipeline(load_scenario(SCENARIOS / f"{name}.yaml"))
+    pipe.ensure_big_m()
+    return pipe
+
+
+def _shipped_controller(pipe):
     ctl, x0, _ = build_controller(pipe)
     return ctl, pipe.plant.to_flat(np.asarray(x0))
 
@@ -392,8 +399,9 @@ def _count_matrix_work(monkeypatch):
 
 @pytest.mark.parametrize("scenario", ["aircraft_mpc", "aircraft_flmpc", "aircraft_clf"])
 def test_second_sample_reuses_the_matrix_records(monkeypatch, scenario):
+    pipe = _shipped_pipeline(scenario)
     counts = _count_matrix_work(monkeypatch)
-    ctl, z = _shipped_controller(scenario)
+    ctl, z = _shipped_controller(pipe)
     ctl(z, 0)
     if scenario == "aircraft_clf":
         # lifted once per controller; a scalar-input CLF poses no QP
@@ -406,7 +414,7 @@ def test_second_sample_reuses_the_matrix_records(monkeypatch, scenario):
 
 
 def test_node_records_are_freed_with_their_controller():
-    ctl, z = _shipped_controller("aircraft_mpc")
+    ctl, z = _shipped_controller(_shipped_pipeline("aircraft_mpc"))
     ctl(z, 0)
     structure = inspect.getclosurevars(ctl).nonlocals["structure"]
     store = weakref.ref(structure.template.blocks.records)

@@ -1,6 +1,9 @@
+import time
+
 import numpy as np
 import pytest
 
+from flatpwa import errorbounds
 from flatpwa.errorbounds import (GridBudgetExceeded, GridSpec,
                                  grid_error_certificate, required_granularity,
                                  taylor_cell_bounds)
@@ -121,6 +124,32 @@ def test_certificate_threads_match_serial_over_chunks(aircraft_net, aircraft_cel
                       for threads in (1, 2))
     assert pooled.eps_bar.tobytes() == serial.eps_bar.tobytes()
     assert pooled.argmax.tobytes() == serial.argmax.tobytes()
+
+
+def test_certificate_threads_hold_at_most_threads_chunks(monkeypatch, aircraft_net,
+                                                        aircraft_cells):
+    # a chunk is drawn only once an earlier one's result is taken, so the
+    # pool never holds more than ``threads`` chunks of the grid
+    grid_chunks = errorbounds._grid_chunks
+    evaluated, held = [], []
+
+    def counted_chunks(grid, chunk_rows):
+        for k, pts in enumerate(grid_chunks(grid, chunk_rows)):
+            held.append(k + 1 - len(evaluated))
+            yield pts
+
+    def slow_true(pts):
+        time.sleep(0.002)
+        out = aircraft_true(pts)
+        evaluated.append(1)
+        return out
+
+    monkeypatch.setattr(errorbounds, "_grid_chunks", counted_chunks)
+    g = GridSpec.symmetric([0.02, 0.1], [PARAMS.phi_bar, PARAMS.v_bar])
+    grid_error_certificate(slow_true, aircraft_cells, aircraft_net, g, 30.0,
+                           threads=2, chunk_rows=100)
+    assert len(held) == len(evaluated) > 10
+    assert max(held) <= 2
 
 
 def test_taylor_cell_bounds_affine_exact():

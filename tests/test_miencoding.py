@@ -117,10 +117,9 @@ def test_step_rows_cardinality_semantics(aircraft_union, aircraft_bigm):
 
 
 def test_encode_point_forces_unique_cell(aircraft_union, aircraft_bigm,
-                                         aircraft_plant):
+                                         aircraft_plant, chebyshev_center):
     # a state whose (z1, v) slice is interior to exactly one member: the only
     # feasible integral assignments put beta = 0 on that member
-    from flatpwa.polytope import chebyshev_center
     target = 0
     center, _ = chebyshev_center(aircraft_union.cells[target].polytope)
     z = np.array([center[0], 0.0])

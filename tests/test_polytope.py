@@ -2,16 +2,19 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 from flatpwa import numkernel, polytope, relupwa
 from flatpwa.config import load_scenario
 from flatpwa.miencoding import build_admissible_union, compute_big_m
 from flatpwa.numkernel import OPTIMAL, LpProblem, solve_lp
-from flatpwa.pipeline import build_pipeline
-from flatpwa.polytope import (HPolytope, StackedRows, box_bounds, chebyshev_center,
-                              find_point, intersect, is_empty, max_row_violation,
-                              row_violations, vertices)
+from flatpwa.pipeline import build_pipeline, certification_problem, run_taylor_table
+from flatpwa.polytope import (HPolytope, StackedRows, box_bounds, find_point,
+                              intersect, is_empty, max_row_violation, row_violations,
+                              vertices)
 from flatpwa.relupwa import enumerate_cells
+from flatpwa.tolerances import DEFAULT
 
 SCENARIOS = Path(__file__).parents[1] / "src" / "flatpwa" / "data" / "scenarios"
 
@@ -29,6 +32,74 @@ def test_unit_box_nonempty_with_witness():
     x = find_point(P)
     assert x is not None
     assert np.max(P.A @ x - P.b) <= 1e-8
+
+
+def unit_residuals(P, x):
+    """Row violations at x over P's rows scaled to unit norm (distances)."""
+    return (P.A @ x - P.b) / np.linalg.norm(P.A, axis=1)
+
+
+@pytest.mark.parametrize("delta, empty", [(1e-7, True), (5e-9, False)],
+                         ids=["width-1e-7-empty", "width-5e-9-kept"])
+def test_find_point_sliver(delta, empty):
+    # {delta <= x <= 0}, alone and in a 2-D box with every row scaled by 5,
+    # which leaves the set and the verdict as they are; HiGHS's own 1e-7
+    # primal tolerance let the 1e-7 sliver through
+    line = HPolytope([[1.0], [-1.0]], [0.0, -delta])
+    boxed = HPolytope(5.0 * np.vstack([np.eye(2), -np.eye(2)]),
+                      5.0 * np.array([0.0, 1.0, -delta, 1.0]))
+    for P in (line, boxed):
+        x = find_point(P)
+        assert (x is None) == empty
+        if x is not None:
+            assert unit_residuals(P, x).max() <= DEFAULT.feas
+
+
+def phase_one_slack(P):
+    """Reference: the smallest largest violation of P's unit-scaled rows
+    (HiGHS LP), floored at -1; negative means a point with that margin."""
+    m, d = P.A.shape
+    inv = 1.0 / np.linalg.norm(P.A, axis=1)
+    res = solve_lp(LpProblem(np.r_[np.zeros(d), 1.0],
+                             G=np.hstack([P.A * inv[:, None], -np.ones((m, 1))]),
+                             h=P.b * inv, bounds=[(None, None)] * d + [(-1.0, None)]))
+    assert res.status == OPTIMAL
+    return res.x[-1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 4), m=st.integers(1, 11),
+       gap=st.sampled_from([None, -1e-4, -3e-6, -1e-7, 0.0, 1e-9, 1.5e-8, 1e-7,
+                            3e-6, 1e-4]))
+def test_find_point_verdict_matches_phase_one_lp(seed, d, m, gap):
+    # rows of scales 1e-2 to 1e3; with ``gap`` the last row faces the first
+    # across a slab of that width (negative: they overlap) at a point every
+    # other row keeps, so the slack is gap / 2; slacks within 1e-6 are where
+    # the two solvers' tolerances may disagree, and are counted, not asserted
+    rng = np.random.default_rng(seed)
+    A = rng.normal(size=(m, d)) * 10.0 ** rng.uniform(-2.0, 3.0, size=(m, 1))
+    norms = np.linalg.norm(A, axis=1)
+    x_in = rng.uniform(-1.0, 1.0, size=d)
+    if gap is None:
+        b = A @ x_in + rng.normal(scale=0.5, size=m) * norms
+    else:
+        b = A @ x_in + rng.uniform(0.0, 1.0, size=m) * norms
+        b[0] = A[0] @ x_in
+        scale = 10.0 ** rng.uniform(-2.0, 3.0)
+        A = np.vstack([A, -scale * A[0]])
+        b = np.r_[b, -scale * (b[0] + gap * norms[0])]
+    P = HPolytope(A, b)
+    slack = phase_one_slack(P)
+    x = find_point(P)
+    if abs(slack) <= 1e-6:
+        agrees = (x is None) == (slack > DEFAULT.feas)
+        event(f"slack within 1e-6: verdict {'agrees' if agrees else 'differs'}")
+    elif slack > 0.0:
+        assert x is None
+    else:
+        assert x is not None
+    if x is not None:
+        assert unit_residuals(P, x).max() <= DEFAULT.feas
 
 
 def test_aircraft_pattern_census(aircraft_net, aircraft_plant):
@@ -84,8 +155,13 @@ def test_vertices_simplex():
 
 
 def test_vertices_unbounded_rejected():
-    with pytest.raises(ValueError):
-        vertices(HPolytope([[1.0, 0.0]], [1.0]))
+    # a half-plane has fewer rows than dimensions; a quadrant and a strip
+    # have enough, so only the boundedness test rejects them
+    for P in (HPolytope([[1.0, 0.0]], [1.0]),
+              HPolytope(np.eye(2), [1.0, 1.0]),
+              HPolytope([[1.0, 0.0], [-1.0, 0.0]], [1.0, 1.0])):
+        with pytest.raises(ValueError, match="unbounded"):
+            vertices(P)
 
 
 def test_vertices_dimension_guard():
@@ -163,7 +239,7 @@ def test_row_violation_bounds_sampled(paper_cell2, aircraft_plant):
     assert worst <= M + 1e-9
 
 
-def test_chebyshev_center_inside():
+def test_chebyshev_center_inside(chebyshev_center):
     P = unit_box()
     c, r = chebyshev_center(P)
     assert P.contains(c)
@@ -251,22 +327,26 @@ def test_row_violations_match_per_row_lp_on_shipped_unions(shipped_pipelines):
                 lp_row_violations(cell.polytope, pipe.workspace), rel=1e-12, abs=1e-12)
 
 
-def test_set_up_solves_lps_only_for_emptiness(monkeypatch, shipped_pipelines):
-    # one feasibility LP per candidate pattern; big-M sizing solves none
-    lp_calls = []
-    candidates = []
-    piece_for_pattern = relupwa.piece_for_pattern
-    for module in (numkernel, polytope):
-        monkeypatch.setattr(module, "solve_lp",
-                            lambda *a, **k: lp_calls.append(1) or solve_lp(*a, **k))
+def test_set_up_solves_no_lps(monkeypatch):
+    # every feasibility question goes to the QP kernel, one emptiness QP per
+    # candidate pattern; every solve_lp call would end in HiGHS's linprog
+    def no_lp(*args, **kwargs):
+        raise AssertionError("set-up called the LP backend")
+
+    qps, candidates = [], []
+    solve_qp, piece_for_pattern = polytope.solve_qp, relupwa.piece_for_pattern
+    monkeypatch.setattr(numkernel, "linprog", no_lp)
+    monkeypatch.setattr(polytope, "solve_qp",
+                        lambda *a, **k: qps.append(1) or solve_qp(*a, **k))
     monkeypatch.setattr(relupwa, "piece_for_pattern",
                         lambda *a, **k: candidates.append(1) or piece_for_pattern(*a, **k))
-    for pipe in shipped_pipelines:
-        U = pipe.ensure_union()
-        lp_calls.clear()
+    for name in ("aircraft_mpc", "pmsm_case1", "uav_tracking"):
+        pipe = build_pipeline(load_scenario(SCENARIOS / f"{name}.yaml"))
+        qps.clear()
         candidates.clear()
         enumerate_cells(pipe.net, pipe.workspace)
-        assert len(lp_calls) == len(candidates) > 0
-        lp_calls.clear()
-        compute_big_m(U, pipe.workspace)
-        assert lp_calls == []
+        assert len(qps) == len(candidates) > 0
+        compute_big_m(pipe.ensure_union(), pipe.workspace)
+        certification_problem(pipe)
+        if pipe.cfg.plant == "aircraft":
+            run_taylor_table(pipe)      # vertex enumeration tests boundedness

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from flatpwa.plants.aircraft import aircraft_phi
-from flatpwa.polytope import box_bounds, chebyshev_center
+from flatpwa.polytope import box_bounds
 from flatpwa.relupwa import (ReluNetwork, enumerate_cells, forward, pwa_eval,
                              pwa_eval_batch, pwa_lipschitz)
 
@@ -53,7 +53,8 @@ def test_piece_all_active_maps(aircraft_net):
     assert np.allclose(f, aircraft_net.W2 @ aircraft_net.b1 + aircraft_net.b2)
 
 
-def test_piece_matches_forward_at_interior_sample(aircraft_net, aircraft_cells):
+def test_piece_matches_forward_at_interior_sample(aircraft_net, aircraft_cells,
+                                                  chebyshev_center):
     for piece in aircraft_cells.pieces:
         x, _ = chebyshev_center(piece.polytope)
         assert np.abs(piece.F @ x + piece.f - forward(aircraft_net, x)).max() <= 1e-9
@@ -79,7 +80,8 @@ def test_enumerate_width_guard():
         enumerate_cells(net, HPolytope.box([-1.0], [1.0]))
 
 
-def test_pwa_eval_equals_forward_interior(aircraft_net, aircraft_cells):
+def test_pwa_eval_equals_forward_interior(aircraft_net, aircraft_cells,
+                                          chebyshev_center):
     for piece in aircraft_cells.pieces:
         x, _ = chebyshev_center(piece.polytope)
         assert np.abs(pwa_eval(aircraft_cells, x)
@@ -121,7 +123,7 @@ def test_pwa_exactness_random(fixture, request, piece_values):
     assert np.abs(pwa_eval_batch(net, pts) - forward(net, pts)).max() <= 1e-7
 
 
-def test_pattern_consistency(aircraft_net, aircraft_cells):
+def test_pattern_consistency(aircraft_net, aircraft_cells, chebyshev_center):
     rng = np.random.default_rng(9)
     for piece in aircraft_cells.pieces:
         x, r = chebyshev_center(piece.polytope)
@@ -135,7 +137,7 @@ def test_pattern_consistency(aircraft_net, aircraft_cells):
                     assert np.sign(pre[k]) == piece.alpha[k]
 
 
-def test_pieces_interior_disjoint(aircraft_cells, uav_cells):
+def test_pieces_interior_disjoint(aircraft_cells, uav_cells, chebyshev_center):
     for cells in (aircraft_cells, uav_cells):
         for i, piece in enumerate(cells.pieces):
             x, r = chebyshev_center(piece.polytope)
