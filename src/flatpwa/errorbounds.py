@@ -3,9 +3,13 @@
 Two routes:
 
 * dense-grid evaluation with Lipschitz padding: the measured grid maximum
-  eps_tilde plus gamma_eps * rho_bar covers every off-grid point, where
-  rho_bar is the supremal distance from a workspace point to its nearest
-  grid sample;
+  eps_tilde plus gamma_eps * rho_bar covers every point of the grid's hull
+  (the box spanned by the first and last sample of each axis), where
+  rho_bar is the supremal distance from a hull point to its nearest grid
+  sample. The samples are the multiples of each step inside the workspace
+  box, so unless its bounds are multiples of the steps, strips at the box
+  edges lie outside the hull, farther than rho_bar from every sample, and
+  the padding does not cover them;
 * per-cell Taylor analysis: a first-order expansion of the true map at a
   cell's linearization point bounds the in-cell error by the Taylor residual
   C_zeta * r_e / 2 plus the surrogate-vs-expansion error at the cell's
@@ -23,7 +27,8 @@ from itertools import islice
 import numpy as np
 
 from .polytope import vertices
-from .relupwa import PwaDecomposition, pwa_eval_batch, pwa_lipschitz
+from .relupwa import PwaDecomposition, pwa_lipschitz
+from .relupwa import pwa_eval_batch  # noqa: F401  (bench/tracer.py rebinds it here)
 from .tolerances import DEFAULT, Tolerances
 
 GRID_POINT_BUDGET = 50_000_000
@@ -59,7 +64,10 @@ class GridSpec:
 
     @property
     def rho_bar(self):
-        """Supremal granularity sqrt(sum (delta_i/2)^2)."""
+        """Supremal granularity sqrt(sum (delta_i/2)^2): the farthest a point
+        of the grid's hull lies from its nearest sample. Workspace points
+        outside the hull, between a box bound and the outermost multiple of
+        the step, can lie farther out (up to a whole step per axis)."""
         return float(np.linalg.norm(self.deltas / 2.0))
 
     def axis_points(self, i):
@@ -128,23 +136,29 @@ def required_granularity(delta_eps: float, gamma_eps: float) -> float:
     return delta_eps / gamma_eps
 
 
-def _grid_chunks(grid: GridSpec, chunk_rows):
+def _grid_slab(grid: GridSpec):
+    """The slowest axis's points and the tail grid of the other axes, one
+    (C-ordered) row per tail point; a slab is one head value x the tail."""
     axes = [grid.axis_points(i) for i in range(grid.deltas.size)]
-    first = axes[0]
-    rest = axes[1:]
-    if rest:
-        mesh_rest = np.meshgrid(*rest, indexing="ij")
-        tail = np.column_stack([m.ravel() for m in mesh_rest])
+    if len(axes) > 1:
+        mesh = np.meshgrid(*axes[1:], indexing="ij")
+        tail = np.column_stack([m.ravel() for m in mesh])
     else:
         tail = np.zeros((1, 0))
+    return axes[0], tail
+
+
+def _grid_chunks(grid: GridSpec, chunk_rows):
+    """The grid in C order, ``block`` whole slabs at a time: as many as fit
+    in ``chunk_rows`` rows, and at least one."""
+    first, tail = _grid_slab(grid)
     block = max(1, chunk_rows // max(1, tail.shape[0]))
     for k in range(0, first.size, block):
         head = first[k:k + block]
-        pts = np.empty((head.size * tail.shape[0], grid.deltas.size))
-        pts[:, 0] = np.repeat(head, tail.shape[0])
-        if tail.shape[1]:
-            pts[:, 1:] = np.tile(tail, (head.size, 1))
-        yield pts
+        pts = np.empty((head.size, tail.shape[0], grid.deltas.size))
+        pts[:, :, 0] = head[:, None]
+        pts[:, :, 1:] = tail
+        yield pts.reshape(-1, grid.deltas.size)
 
 
 def _bounded_map(pool, fn, items, depth):
@@ -162,15 +176,25 @@ def _bounded_map(pool, fn, items, depth):
 def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
                            gamma_phi, threads: int = 1,
                            point_budget: int = GRID_POINT_BUDGET,
-                           chunk_rows: int = 500_000) -> ErrorCertificate:
+                           chunk_rows: int = 25_000) -> ErrorCertificate:
     """Grid-max error with Lipschitz padding.
 
-    ``phi`` maps an (N, n_in) batch to (N,) or (N, n_out) true values; the
-    surrogate is evaluated through its piece maps (activation-mask selection,
-    identical to the forward pass). gamma_eps = gamma_phi + gamma_nn via the
-    triangle inequality. The grid is evaluated in chunks of ``chunk_rows``
-    points; ``threads`` workers take chunks of ``chunk_rows // threads``, at
-    most ``threads`` at a time, so the points held do not grow with them.
+    ``phi`` maps an (N, n_in) batch to (N,) (one output) or (N, n_out) true
+    values; any other shape raises ``ValueError``. gamma_eps = gamma_phi +
+    gamma_nn via the triangle inequality.
+
+    The grid is a tensor product, walked in C order one slab at a time: a
+    slab is one value of the slowest axis times the full tail grid of the
+    other axes. The surrogate's first layer is summed per axis, so no grid
+    point is multiplied by W1: the tail's term ``tail @ W1[:, 1:].T + b1`` is
+    formed once per certificate, and each slab adds its head's
+    ``head * W1[:, 0]`` to it before the ReLU and the output layer (the
+    forward pass up to the order of the first layer's sum).
+
+    Chunks hold as many whole slabs as fit in ``chunk_rows`` points (at least
+    one), so their temporaries stay near cache size; ``threads`` workers
+    take chunks of ``chunk_rows // threads``, at most ``threads`` at a time,
+    so the points held do not grow with them.
     """
     total = grid.num_points
     if total > point_budget:
@@ -182,18 +206,33 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
                                 (n_out,)).copy()
     gamma_eps = gamma_phi + pwa_lipschitz(d)
 
-    def eval_chunk(pts):
-        nn = pwa_eval_batch(net, pts)
-        tr = np.atleast_2d(np.asarray(phi(pts), dtype=float))
-        if tr.shape[0] == 1 and nn.shape[0] != 1:
-            tr = tr.T
-        if tr.ndim == 1 or tr.shape[1] != n_out:
-            tr = tr.reshape(nn.shape[0], n_out)
-        err = np.abs(tr - nn)
-        j = int(np.argmax(err.max(axis=1)))
-        return err.max(axis=0), pts[j].copy()   # a view would pin the chunk
-
     t0 = time.perf_counter()
+    _, tail = _grid_slab(grid)
+    slab = max(1, tail.shape[0])
+    # pre-activations stored unit-major, (n1, points): every sweep below runs
+    # along the points
+    tail_pre = np.ascontiguousarray((tail @ net.W1[:, 1:].T + net.b1).T)
+    w_head = net.W1[:, 0]
+
+    def eval_chunk(pts):
+        n = pts.shape[0]
+        tr = np.asarray(phi(pts), dtype=float)
+        if tr.shape == (n,):
+            tr = tr[:, None]
+        if tr.shape != (n, n_out):
+            raise ValueError(f"phi returned shape {tr.shape} for {n} points; "
+                             f"expected ({n},) or ({n}, {n_out})")
+        head_pre = np.multiply.outer(w_head, pts[::slab, 0])
+        pre = (head_pre[:, :, None] + tail_pre[:, None, :]).reshape(w_head.size, n)
+        np.maximum(pre, 0.0, out=pre)
+        err = net.W2 @ pre
+        err += net.b2[:, None]
+        np.subtract(tr.T, err, out=err)
+        np.abs(err, out=err)
+        m = err.max(axis=1)
+        j = int(err.max(axis=0).argmax())   # first point holding the chunk's max
+        return m, pts[j].copy()   # a view would pin the chunk
+
     best = np.zeros(n_out)
     arg = None
     chunks = _grid_chunks(grid, max(1, chunk_rows // threads))

@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 
 from flatpwa.config import load_scenario
-from flatpwa.pipeline import build_controller, build_pipeline
+from flatpwa.pipeline import (build_controller, build_pipeline,
+                              certification_problem, run_certification)
 
 ROOT = Path(__file__).parents[1]
 
@@ -37,11 +38,15 @@ def test_traced_names_are_module_attributes():
                 f"{name}: {mod.__name__} has no {attr}"
 
 
+def _pipeline(scenario):
+    path = ROOT / "src" / "flatpwa" / "data" / "scenarios" / f"{scenario}.yaml"
+    return build_pipeline(load_scenario(path))
+
+
 def _check_layers(scenario, layers):
     tracer = _tracer()
     before = _bindings(tracer.LAYERS)
-    path = ROOT / "src" / "flatpwa" / "data" / "scenarios" / f"{scenario}.yaml"
-    pipe = build_pipeline(load_scenario(path))
+    pipe = _pipeline(scenario)
     with tracer.Tracer().active() as tr:
         ctl, x0, _ = build_controller(pipe)
         ctl(pipe.plant.to_flat(np.asarray(x0)), 0)
@@ -58,3 +63,19 @@ def test_tracer_sees_the_online_layers_and_restores_them():
 def test_tracer_sees_the_clf_step_and_restores_it():
     # a scalar-input CLF step poses no QP, so its layer is the step itself
     _check_layers("aircraft_clf", ("controllers.clf_step",))
+
+
+def test_tracer_counts_the_certificate_points():
+    # the per-layer certify metrics read the certificate span and its points
+    tracer = _tracer()
+    before = _bindings(tracer.LAYERS)
+    pipe = _pipeline("pmsm_case1")
+    _, _, (lo, hi), _, _ = certification_problem(pipe)
+    pipe.cfg.grid_deltas = (hi - lo) / 20.0
+    with tracer.Tracer().active() as tr:
+        cert = run_certification(pipe)
+    assert _bindings(tracer.LAYERS) == before
+    metrics = tr.metrics()
+    assert metrics["errorbounds.grid_error_certificate.calls"] == 1
+    assert metrics["errorbounds.grid_error_certificate.points"] == cert.grid_points > 1000
+    assert metrics["errorbounds.grid_error_certificate.points_per_s"] > 0
