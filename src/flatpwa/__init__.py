@@ -19,8 +19,8 @@ from .miqpsolver import (MiqpResult, SolveBudget, solve_by_cell_enumeration,
                          solve_miqp)
 from .controllers import (ClfSpec, MpcSpec, clf_step, flmpc_step, mpc_step,
                           verify_clf)
-from .simulate import (ControllerInfeasible, rk4_discretize, rk4_integrate,
-                       run_closed_loop, trace_csv)
+from .simulate import (ControllerInfeasible, rk4_discretize, run_closed_loop,
+                       trace_csv)
 from . import plants
 
 __version__ = "0.1.0"

@@ -34,6 +34,13 @@ def _number(raw, path):
     return value
 
 
+def _divides(step, total):
+    """Whether ``step`` goes into ``total`` a whole number of times, within
+    1e-9 relative (the closed loop runs round(total / step) steps)."""
+    n = round(total / step)
+    return abs(n * step - total) <= 1e-9 * max(1.0, total)
+
+
 def parse_max_ms(raw, path):
     """A per-solve time budget in ms: finite and positive."""
     value = _number(raw, path)
@@ -173,6 +180,12 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
     if "substep" in sim:
         cfg.substep = _number(sim["substep"], "simulation.substep")
         _require(cfg.substep > 0, "simulation.substep", "must be positive")
+    _require(_divides(cfg.substep, cfg.T_s), "simulation.substep",
+             f"must divide tuning.T_s = {cfg.T_s:g} into whole RK4 substeps, "
+             f"got {cfg.substep:g}")
+    _require(_divides(cfg.T_s, cfg.duration), "simulation.duration",
+             f"must be a whole number of samples of tuning.T_s = {cfg.T_s:g}, "
+             f"got {cfg.duration:g}")
     if "on_infeasible" in sim:
         _require(sim["on_infeasible"] in ("raise", "hold"), "simulation.on_infeasible",
                  "must be 'raise' or 'hold'")

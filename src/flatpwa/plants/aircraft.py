@@ -50,24 +50,32 @@ class AircraftParams:
         return self.u_max / FORCE_SCALE
 
 
+_COS_RANGE = "cos(z1) too small: outside the model's validity range"
+
+
 def lift(params: AircraftParams, z1):
     return params.l0 + params.l1 * z1 - params.l3 * z1 ** 3
 
 
-def aircraft_phi(z1, v, params: AircraftParams = AircraftParams()):
-    """Linearizing input u(z1, v) in 1e5 N units."""
-    c = np.cos(z1)
-    if np.any(c <= 1e-6):
-        raise ValueError("cos(z1) too small: outside the model's validity range")
+def _input(params: AircraftParams, z1, v, c):
+    """Phi(z1, v) in 1e5 N units given c = cos(z1); floats or arrays."""
     u = (v * params.J / c + params.d1 * lift(params, z1)) / params.d2
     return u / FORCE_SCALE
+
+
+def aircraft_phi(z1, v, params: AircraftParams = AircraftParams()):
+    """Linearizing input u(z1, v) in 1e5 N units, on arrays of points."""
+    c = np.cos(z1)
+    if np.any(c <= 1e-6):
+        raise ValueError(_COS_RANGE)
+    return _input(params, z1, v, c)
 
 
 def aircraft_phi_grad(z1, v, params: AircraftParams = AircraftParams()):
     """(dPhi/dz1, dPhi/dv) in 1e5 N units."""
     c = np.cos(z1)
     if np.any(c <= 1e-6):
-        raise ValueError("cos(z1) too small: outside the model's validity range")
+        raise ValueError(_COS_RANGE)
     s = np.sin(z1)
     dz = (params.d1 * (params.l1 - 3.0 * params.l3 * z1 ** 2)
           + params.J * v * s / c ** 2) / params.d2
@@ -109,13 +117,13 @@ def aircraft_lipschitz(params: AircraftParams = AircraftParams(),
 
 
 def dynamics(params: AircraftParams):
-    """Vector field f(x, u) with x = (phi, phid) and u in 1e5 N units."""
+    """Vector field f(x, u) on floats, x = (phi, phid) and u in 1e5 N units."""
 
     def f(x, u):
-        u_newton = np.atleast_1d(u)[0] * FORCE_SCALE
+        u_newton = u[0] * FORCE_SCALE
         phidd = (-params.d1 * lift(params, x[0]) + u_newton * params.d2) \
             / params.J * math.cos(x[0])
-        return np.array([x[1], phidd])
+        return (x[1], phidd)
 
     return f
 
@@ -135,16 +143,17 @@ def make_plant(params: AircraftParams = AircraftParams()) -> FlatPlant:
         return np.asarray(x, dtype=float).copy()
 
     def phi(z, v):
-        return np.atleast_1d(aircraft_phi(z[0], np.atleast_1d(v)[0], params))
+        c = math.cos(z[0])
+        if c <= 1e-6:
+            raise ValueError(_COS_RANGE)
+        return (_input(params, z[0], v[0], c),)
 
     def phi_grad(z, v):
         return aircraft_phi_grad(z[0], np.atleast_1d(v)[0], params)
 
+    # the flat state is x itself
     def closed_loop_field(x, v):
-        return f(x, phi(to_flat(x), v))
-
-    def true_inputs(x, v):
-        return phi(to_flat(x), v)
+        return f(x, phi(x, v))
 
     # the network only sees (z1, v); z2 passes through untouched
     input_map = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
@@ -152,11 +161,11 @@ def make_plant(params: AircraftParams = AircraftParams()) -> FlatPlant:
     return FlatPlant(
         name="aircraft",
         n=2, m=1, n_z=2,
-        A=A, B=B, f=f,
+        A=A, B=B,
         to_flat=to_flat,
         phi=phi,
         closed_loop_field=closed_loop_field,
-        true_inputs=true_inputs,
+        true_inputs=phi,
         u_min=np.array([-params.u_max_scaled]),
         u_max=np.array([params.u_max_scaled]),
         net_workspace=workspace(params),

@@ -24,8 +24,10 @@ class FlatPlant:
     n_z: int          # flat state dimension
     A: np.ndarray
     B: np.ndarray
-    f: Callable       # f(x, u) -> xdot, u in the same units as u_min/u_max
-    to_flat: Callable            # x -> z
+    to_flat: Callable            # x -> z, an array
+    # The maps below take float sequences (a list, a tuple or a 1-D array)
+    # and return a tuple of floats, creating no array: the closed loop calls
+    # closed_loop_field at every RK4 stage, so it works on Python floats.
     phi: Callable                # (z, v) -> u (true linearizing map)
     closed_loop_field: Callable  # (x, v) -> xdot under u = phi(z(x), v)
     true_inputs: Callable        # (x, v) -> u actually applied (for checks)

@@ -58,8 +58,8 @@ class PmsmParams:
 
 
 def pmsm_to_flat(x, params: PmsmParams = PmsmParams()):
-    x = np.asarray(x, dtype=float)
-    return np.array([x[0], x[2], (params.Y / params.L) * x[1]])
+    """z = (x1, x3, (Y/L) x2) as a tuple of floats."""
+    return (x[0], x[2], (params.Y / params.L) * x[1])
 
 
 def pmsm_from_flat(z, params: PmsmParams = PmsmParams()):
@@ -68,13 +68,12 @@ def pmsm_from_flat(z, params: PmsmParams = PmsmParams()):
 
 
 def pmsm_phi(z, v, params: PmsmParams = PmsmParams()):
-    z = np.asarray(z, dtype=float)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    """(u1, u2) as a tuple of floats."""
     u1 = v[0] + (params.R / params.L) * z[0] \
         - (params.L / (params.J_m * params.Y)) * z[1] * z[2]
     u2 = (params.L / params.Y) * v[1] + z[1] * (params.Y + z[0]) / params.J_m \
         + (params.R / params.Y) * z[2]
-    return np.array([u1, u2])
+    return (u1, u2)
 
 
 def pmsm_state_part(pts, params: PmsmParams = PmsmParams()):
@@ -125,15 +124,15 @@ def split_network(net, params: PmsmParams = PmsmParams()):
 
 
 def dynamics(params: PmsmParams):
+    """Vector field f(x, u) on floats."""
     RL = params.R / params.L
 
     def f(x, u):
-        u = np.atleast_1d(u)
-        return np.array([
+        return (
             -RL * x[0] + x[1] * x[2] / params.J_m + u[0],
             -x[2] * (params.Y + x[0]) / params.J_m - RL * x[1] + u[1],
             (params.Y / params.L) * x[1],
-        ])
+        )
 
     return f
 
@@ -153,22 +152,22 @@ def make_plant(params: PmsmParams = PmsmParams()) -> FlatPlant:
     f = dynamics(params)
 
     def to_flat(x):
-        return pmsm_to_flat(x, params)
+        return np.array(pmsm_to_flat(x, params))
 
     def phi(z, v):
         return pmsm_phi(z, v, params)
 
     def closed_loop_field(x, v):
-        return f(x, phi(to_flat(x), v))
+        return f(x, true_inputs(x, v))
 
     def true_inputs(x, v):
-        return phi(to_flat(x), v)
+        return pmsm_phi(pmsm_to_flat(x, params), v, params)
 
     state_rows = HPolytope.box(params.z_lower, params.z_upper)
     return FlatPlant(
         name="pmsm",
         n=3, m=2, n_z=3,
-        A=A, B=B, f=f,
+        A=A, B=B,
         to_flat=to_flat,
         phi=phi,
         closed_loop_field=closed_loop_field,

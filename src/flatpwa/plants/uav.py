@@ -51,14 +51,13 @@ class UavParams:
 
 
 def uav_phi(z, v, params: UavParams = UavParams()):
-    """(u1, u2) from the flat state and input; needs nonzero speed."""
-    z = np.asarray(z, dtype=float)
-    v = np.atleast_1d(np.asarray(v, dtype=float))
+    """(u1, u2) from the flat state and input as a tuple of floats; needs
+    nonzero speed."""
     speed = math.hypot(z[1], z[3])
     if speed <= 1e-12:
         raise ValueError("zero speed: u2 is undefined")
     u2 = (v[1] * z[1] - v[0] * z[3]) / (params.g * speed)
-    return np.array([speed, u2])
+    return (speed, u2)
 
 
 def speed_map(pts):
@@ -100,13 +99,13 @@ def make_plant(params: UavParams = UavParams()) -> FlatPlant:
     # extended simulation state: (x1, x2, heading, speed); inputs (w1, u2)
     def f(x, u):
         x1, x2, heading, speed = x
-        w1, u2 = np.atleast_1d(u)
-        return np.array([
+        w1, u2 = u
+        return (
             speed * math.cos(heading),
             speed * math.sin(heading),
             params.g * u2 / speed,
             w1,
-        ])
+        )
 
     def to_flat(x):
         x1, x2, heading, speed = x
@@ -116,18 +115,17 @@ def make_plant(params: UavParams = UavParams()) -> FlatPlant:
     def phi(z, v):
         return uav_phi(z, v, params)
 
-    def closed_loop_field(x, v):
+    def extended_inputs(x, v):
+        """(w1, u2) realising the flat input v at heading x3."""
         heading = x[2]
         c, s = math.cos(heading), math.sin(heading)
-        w1 = v[0] * c + v[1] * s
-        u2 = (v[1] * c - v[0] * s) / params.g
-        return f(x, np.array([w1, u2]))
+        return v[0] * c + v[1] * s, (v[1] * c - v[0] * s) / params.g
+
+    def closed_loop_field(x, v):
+        return f(x, extended_inputs(x, v))
 
     def true_inputs(x, v):
-        heading, speed = x[2], x[3]
-        c, s = math.cos(heading), math.sin(heading)
-        u2 = (v[1] * c - v[0] * s) / params.g
-        return np.array([speed, u2])
+        return (x[3], extended_inputs(x, v)[1])
 
     input_map = np.zeros((2, 6))
     input_map[0, 1] = 1.0   # z2
@@ -138,7 +136,7 @@ def make_plant(params: UavParams = UavParams()) -> FlatPlant:
     return FlatPlant(
         name="uav",
         n=4, m=2, n_z=4,
-        A=A, B=B, f=f,
+        A=A, B=B,
         to_flat=to_flat,
         phi=phi,
         closed_loop_field=closed_loop_field,

@@ -4,6 +4,11 @@ The closed loop applies the linearizing map continuously inside each
 sampling interval: the controller fixes v for [kTs, (k+1)Ts) and the plant
 integrates xdot = f(x, Phi(z(x), v)) with RK4 substeps, re-evaluating the
 inner feedback at every stage.
+
+The substeps run on Python floats: ``plant.closed_loop_field(x, v)`` takes
+float sequences and returns a tuple of floats, and ``rk4_step`` returns the
+new state as a list. A closed loop converts x and v once per sample and
+builds one state array per sample for its record.
 """
 
 from __future__ import annotations
@@ -20,29 +25,20 @@ CHECK_MARGIN = 1e-6
 
 
 def rk4_step(f, x, u, h):
+    """One classical RK4 step of xdot = f(x, u) on floats; returns a list.
+
+    Each component keeps the operation order of the array form,
+    x + (h/6) * (((k1 + 2 k2) + 2 k3) + k4) with the stages at
+    x + (0.5 h) k, so that the traces match it bit for bit.
+    """
+    half = 0.5 * h
     k1 = f(x, u)
-    k2 = f(x + 0.5 * h * k1, u)
-    k3 = f(x + 0.5 * h * k2, u)
-    k4 = f(x + h * k3, u)
-    return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_integrate(f, x0, u_of_t, T, h):
-    """Classical RK4 over [0, T] with step h; returns (times, states)."""
-    if h <= 0:
-        raise ValueError("step size must be positive")
-    steps = int(round(T / h))
-    if abs(steps * h - T) > 1e-9 * max(1.0, T):
-        raise ValueError("h must divide T within rounding")
-    x = np.asarray(x0, dtype=float).copy()
-    ts = [0.0]
-    xs = [x.copy()]
-    for k in range(steps):
-        t = k * h
-        x = rk4_step(f, x, u_of_t(t), h)
-        ts.append((k + 1) * h)
-        xs.append(x.copy())
-    return np.array(ts), np.array(xs)
+    k2 = f([a + half * b for a, b in zip(x, k1)], u)
+    k3 = f([a + half * b for a, b in zip(x, k2)], u)
+    k4 = f([a + h * b for a, b in zip(x, k3)], u)
+    sixth = h / 6.0
+    return [a + sixth * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
+            for a, b1, b2, b3, b4 in zip(x, k1, k2, k3, k4)]
 
 
 def rk4_discretize(A, B, T_s):
@@ -109,7 +105,8 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
     against the true nonlinear input map and the plant state rows, never the
     surrogate. When the controller raises ControllerInfeasible, "raise" ends
     the run there (``infeasible_at``) and "hold" applies the previous input
-    again, with a solve time of 0.
+    again, with a solve time of 0. Each sample interval is round(T_s / h)
+    RK4 substeps of ``plant.closed_loop_field`` on floats.
     """
     x = np.asarray(x0, dtype=float).copy()
     steps = int(round(T_sim / T_s))
@@ -130,7 +127,8 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
                 result.infeasible_at = t
                 break
         v = np.atleast_1d(np.asarray(v, dtype=float))
-        u = plant.true_inputs(x, v)
+        xs, vs = x.tolist(), v.tolist()
+        u = np.array(plant.true_inputs(xs, vs))
         if np.any(u > plant.u_max + CHECK_MARGIN) or np.any(u < plant.u_min - CHECK_MARGIN):
             result.input_violations += 1
         if plant.state_rows is not None and \
@@ -139,11 +137,12 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
         cell = -1
         if union is not None:
             cell = locate_cell(union, plant.net_input(z, v))
-        records.append(StepRecord(t=t, x=x.copy(), z=z.copy(), u=np.atleast_1d(u).copy(),
-                                  v=v.copy(), cell_index=cell, solver_ms=ms))
+        records.append(StepRecord(t=t, x=x, z=z.copy(), u=u, v=v.copy(),
+                                  cell_index=cell, solver_ms=ms))
         result.solver_ms.append(ms)
         for _ in range(sub):
-            x = rk4_step(plant.closed_loop_field, x, v, hh)
+            xs = rk4_step(plant.closed_loop_field, xs, vs, hh)
+        x = np.array(xs)
         v_prev = v
     return result
 

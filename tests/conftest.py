@@ -6,6 +6,7 @@ from flatpwa.miencoding import (MiqpModel, build_admissible_union, encode_point,
 from flatpwa.numkernel import OPTIMAL, LpProblem, solve_lp
 from flatpwa.plants import aircraft, pmsm, uav
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
+from flatpwa.simulate import rk4_step
 from flatpwa.tolerances import DEFAULT
 
 
@@ -145,3 +146,25 @@ PAPER_THETA2_RHS = np.array([3.571, 4.049, 1.427, 0.852])
 def paper_cell2():
     from flatpwa.polytope import HPolytope
     return HPolytope(PAPER_THETA2, PAPER_THETA2_RHS)
+
+
+def _rk4_integrate(f, x0, u_of_t, T, h):
+    """Classical RK4 over [0, T] with step h; returns (times, states)."""
+    if h <= 0:
+        raise ValueError("step size must be positive")
+    steps = int(round(T / h))
+    if abs(steps * h - T) > 1e-9 * max(1.0, T):
+        raise ValueError("h must divide T within rounding")
+    x = np.asarray(x0, dtype=float).tolist()
+    ts = [0.0]
+    xs = [x]
+    for k in range(steps):
+        x = rk4_step(f, x, u_of_t(k * h), h)
+        ts.append((k + 1) * h)
+        xs.append(x)
+    return np.array(ts), np.array(xs)
+
+
+@pytest.fixture(scope="session")
+def rk4_integrate():
+    return _rk4_integrate

@@ -22,7 +22,7 @@ from flatpwa.plants import uav as uav_mod
 from flatpwa.polytope import box_bounds, max_row_violation
 from flatpwa.relupwa import enumerate_cells, forward, pwa_lipschitz
 from flatpwa.simulate import (ControllerInfeasible, locate_cell, rk4_discretize,
-                              rk4_integrate, rk4_step, run_closed_loop)
+                              rk4_step, run_closed_loop)
 
 PARAMS = aircraft_mod.AircraftParams()
 PAPER_P = np.array([[0.1430, 0.1932], [0.1932, 0.6378]])
@@ -350,7 +350,8 @@ def test_c11_performance_envelope(aircraft_union, aircraft_bigm, aircraft_plant,
                    f"{res_pm.input_violations == 0})")
 
 
-def test_c12_linearization_identity(aircraft_plant, uav_plant, pmsm_plant):
+def test_c12_linearization_identity(aircraft_plant, uav_plant, pmsm_plant,
+                                    rk4_integrate):
     h = 1e-4
     errs = {}
     cases = {

@@ -79,3 +79,27 @@ def test_tracer_counts_the_certificate_points():
     assert metrics["errorbounds.grid_error_certificate.calls"] == 1
     assert metrics["errorbounds.grid_error_certificate.points"] == cert.grid_points > 1000
     assert metrics["errorbounds.grid_error_certificate.points_per_s"] > 0
+
+
+def test_tracer_counts_every_rk4_substep_and_field_stage():
+    # the per-layer plant metrics count one rk4_step per substep and four
+    # field stages per rk4_step, with the field rebound on the plant
+    from flatpwa import simulate
+
+    tracer = _tracer()
+    before = _bindings(tracer.LAYERS)
+    pipe = _pipeline("aircraft_mpc")
+    ctl, x0, _ = build_controller(pipe)
+    samples, T_s, h = 3, pipe.cfg.T_s, pipe.cfg.substep
+    plant = pipe.plant
+    field = plant.closed_loop_field
+    with tracer.Tracer().active(plant=plant) as tr:
+        res = simulate.run_closed_loop(plant, ctl, x0, T_sim=samples * T_s,
+                                       T_s=T_s, h=h)
+    assert _bindings(tracer.LAYERS) == before
+    assert plant.closed_loop_field is field
+    assert len(res.records) == samples
+    substeps = samples * round(T_s / h)
+    assert tr.layers["simulate.run_closed_loop"].calls == 1
+    assert tr.layers["simulate.rk4_step"].calls == substeps == 300
+    assert tr.layers["plants.closed_loop_field"].calls == 4 * substeps

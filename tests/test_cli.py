@@ -5,6 +5,7 @@ import pytest
 import yaml
 
 from flatpwa.cli import main
+from flatpwa.config import parse_scenario
 
 SCENARIOS = Path(__file__).parents[1] / "src" / "flatpwa" / "data" / "scenarios"
 
@@ -113,11 +114,22 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
      "--threads"),
     ("certify", "uav_tracking", {"grid.deltas": [0.5, 0.5]}, ["--threads", "-3"],
      "--threads"),
+    ("simulate", "aircraft_mpc", {"simulation.substep": 0.03}, [],
+     "simulation.substep"),
+    ("simulate", "aircraft_mpc", {"simulation.substep": 0.25}, [],
+     "simulation.substep"),
+    ("simulate", "pmsm_case1", {"tuning.T_s": 0.0015}, [], "simulation.substep"),
+    ("simulate", "aircraft_mpc", {"simulation.duration": 10.05}, [],
+     "simulation.duration"),
+    ("simulate", "aircraft_mpc", {"simulation.duration": 0.04}, [],
+     "simulation.duration"),
 ], ids=["clf-P-missing", "clf-gamma-missing", "clf-K-missing", "clf-P-shape",
         "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "clf-P-zero",
         "clf-P-indefinite", "mpc-Q-shape", "mpc-Q-asymmetric", "mpc-R-shape",
         "mpc-x0-length", "clf-x0-length", "workspace-dimension", "budget-ms-negative",
-        "budget-ms-nan", "threads-zero", "threads-negative"])
+        "budget-ms-nan", "threads-zero", "threads-negative", "substep-not-dividing",
+        "substep-above-period", "period-not-divided", "duration-fractional",
+        "duration-below-period"])
 def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
                                                     scenario, edits, flags,
                                                     field):
@@ -125,6 +137,16 @@ def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
     assert run([command, "--config", cfg, "--out", tmp_path, *flags]) == 4
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("T_s, substep, duration", [
+    (0.1, 0.02, 0.3), (0.1, 0.1, 10.0), (0.05, 0.001, 6.0), (0.001, 0.001, 8.0),
+])
+def test_substeps_and_samples_that_fit_are_accepted(T_s, substep, duration):
+    # whole within 1e-9 relative: 0.3 / 0.1 and 10.0 / 0.1 are not exact
+    cfg = parse_scenario({"plant": "aircraft", "tuning": {"T_s": T_s},
+                          "simulation": {"substep": substep, "duration": duration}})
+    assert (cfg.T_s, cfg.substep, cfg.duration) == (T_s, substep, duration)
 
 
 def test_verify_clf_reports_a_singular_p(tmp_path):

@@ -10,8 +10,8 @@ from flatpwa.plants.pmsm import (PmsmParams, pmsm_from_flat, pmsm_phi,
 from flatpwa.plants.uav import (UavParams, accel_polygon,
                                 accel_polygon_vertices, uav_phi)
 from flatpwa.polytope import vertices
-from flatpwa.simulate import (ControllerInfeasible, rk4_discretize, rk4_integrate,
-                              rk4_step, run_closed_loop)
+from flatpwa.simulate import (ControllerInfeasible, rk4_discretize, rk4_step,
+                              run_closed_loop)
 
 PARAMS = AircraftParams()
 
@@ -89,7 +89,7 @@ def _linear_response(A, B, z0, v_of_t, T, h):
     ("pmsm_plant", [0.05, 0.08, 0.1], lambda t: np.array([0.3 * math.sin(2 * t),
                                                           0.2 * math.cos(3 * t)])),
 ])
-def test_linearization_identity(plant_fixture, z0, vfun, request):
+def test_linearization_identity(plant_fixture, z0, vfun, request, rk4_integrate):
     plant = request.getfixturevalue(plant_fixture)
     if plant.name == "uav":
         x0 = np.array([0.0, 0.0, 0.3, 15.0])
@@ -184,14 +184,14 @@ def test_rk4_discretize_double_integrator():
     assert np.allclose(B_d.ravel(), [0.005, 0.1])
 
 
-def test_rk4_constant_field():
+def test_rk4_constant_field(rk4_integrate):
     ts, xs = rk4_integrate(lambda x, u: np.zeros(2), np.array([1.0, -2.0]),
                            lambda t: 0.0, T=1.0, h=0.01)
     assert np.allclose(xs, xs[0])
     assert ts[-1] == pytest.approx(1.0)
 
 
-def test_rk4_step_validation():
+def test_rk4_step_validation(rk4_integrate):
     with pytest.raises(ValueError):
         rk4_integrate(lambda x, u: x, np.ones(1), lambda t: 0.0, T=1.0, h=0.3)
 
