@@ -7,11 +7,10 @@ from .numkernel import QpProblem, QpResult, solve_qp, eig_sym
 from .polytope import (HPolytope, VertexSet, box_bounds, intersect, is_empty,
                        max_row_violation, row_violations, vertices)
 from .relupwa import (AffinePiece, PwaDecomposition, ReluNetwork, enumerate_cells,
-                      forward, piece_for_pattern, pwa_eval, pwa_lipschitz)
+                      forward, piece_for_pattern, pwa_lipschitz)
 from .errorbounds import (ErrorCertificate, GridSpec, TaylorCellBound,
-                          grid_error_certificate, required_granularity,
-                          taylor_cell_bounds)
-from .miencoding import (AdmissibleCell, AdmissibleUnion, BigMData, MiqpModel,
+                          grid_error_certificate, taylor_cell_bounds)
+from .miencoding import (AdmissibleUnion, BigMData, MiqpModel,
                          build_admissible_union, compute_big_m, encode_horizon,
                          encode_point, lift_rows, step_rows,
                          validate_big_m_override)

@@ -109,11 +109,12 @@ def cmd_simulate(pipe, out_dir, args):
 
 def cmd_bigm(pipe, out_dir, args):
     big_m = pipe.ensure_big_m()
+    cells = pipe.ensure_union().stacked.slices
     report = {
         "plant": pipe.cfg.plant,
         "policy": pipe.cfg.big_m,
         "per_cell": big_m.per_cell.tolist(),
-        "per_row": [r.tolist() for r in big_m.per_row],
+        "per_row": [big_m.per_row[c].tolist() for c in cells],
     }
     _write_json(out_dir / "bigm.json", report)
     vals = ", ".join(f"{v:.4f}" for v in big_m.per_cell)

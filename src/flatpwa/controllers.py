@@ -25,7 +25,7 @@ from .miencoding import (AdmissibleUnion, BigMData, HorizonStructure, MiqpModel,
 from .miencoding import encode_horizon, encode_point  # noqa: F401
 from .miqpsolver import MiqpResult, SolveBudget, solve_miqp
 from .numkernel import ITERATION_LIMIT, OPTIMAL, QpMatrices, QpProblem, eig_sym, solve_qp
-from .polytope import HPolytope
+from .polytope import HPolytope, StackedRows
 from .simulate import ControllerInfeasible
 from .tolerances import DEFAULT, Tolerances
 
@@ -138,24 +138,21 @@ class ClfStructure:
     controller by ``clf_structure``: the spec, the linear dynamics (A, B),
     the tolerances and what the union and the input map give.
 
-    The union's stacked rows lifted through the input map, A S = [A_z, G],
-    so that a sample's rows over v read G v <= b - A_z z; ``starts`` holds
-    each cell's first row and ``cells`` slices its rows. For m = 1,
-    ``owner`` is each row's cell and ``upper``/``lower`` flag the rows that
-    bound v from above (G > 0) or below (G < 0); for m > 1, ``cost`` is the
-    record of the cost H = 2 I.
+    ``rows`` is the union's stacked rows, whose layout (``starts``,
+    ``slices``, ``owner``) says which row belongs to which cell. Lifted
+    through the input map they read A S = [A_z, G], so that a sample's rows
+    over v read G v <= b - A_z z. For m = 1, ``upper``/``lower`` flag the
+    rows that bound v from above (G > 0) or below (G < 0); for m > 1,
+    ``cost`` is the record of the cost H = 2 I.
     """
 
     spec: ClfSpec
     A: np.ndarray
     B: np.ndarray
     tol: Tolerances
+    rows: StackedRows
     A_z: np.ndarray
     G: np.ndarray
-    b: np.ndarray
-    starts: np.ndarray
-    cells: tuple
-    owner: np.ndarray | None = None
     upper: np.ndarray | None = None
     lower: np.ndarray | None = None
     cost: QpMatrices | None = None
@@ -166,18 +163,13 @@ def clf_structure(spec: ClfSpec, U: AdmissibleUnion, A, B, input_map=None,
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_z, m = B.shape
-    rows = U.stacked
     lifted = lift_rows(U, input_map, n_z + m)
-    ends = np.append(rows.starts[1:], rows.b.size)
     G = lifted[:, n_z:]
-    parts = dict(spec=spec, A=A, B=B, tol=tol,
-                 A_z=np.ascontiguousarray(lifted[:, :n_z]), G=G, b=rows.b,
-                 starts=rows.starts,
-                 cells=tuple(slice(s, e) for s, e in zip(rows.starts, ends)))
+    parts = dict(spec=spec, A=A, B=B, tol=tol, rows=U.stacked,
+                 A_z=np.ascontiguousarray(lifted[:, :n_z]), G=G)
     if m > 1:
         return ClfStructure(**parts, cost=QpMatrices.of(2.0 * np.eye(m), tol=tol))
-    return ClfStructure(**parts, owner=np.repeat(np.arange(len(U)), ends - rows.starts),
-                        upper=G[:, 0] > 0.0, lower=G[:, 0] < 0.0)
+    return ClfStructure(**parts, upper=G[:, 0] > 0.0, lower=G[:, 0] < 0.0)
 
 
 def _clf_rows(s: ClfStructure, z):
@@ -185,7 +177,7 @@ def _clf_rows(s: ClfStructure, z):
     the decrease row a'v <= r, and the desired input v_d. Returns
     (h, a, r, v_d)."""
     spec = s.spec
-    h = s.b - s.A_z @ z
+    h = s.rows.b - s.A_z @ z
     a = 2.0 * s.B.T @ spec.P @ z
     r = float(-spec.gamma * z @ spec.P @ z - 2.0 * z @ spec.P @ s.A @ z)
     return h, a, r, spec.v_d(z)
@@ -207,21 +199,23 @@ def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell):
     earlier. Returns None when every cell is infeasible.
     """
     tol = s.tol
+    rows = s.rows
     g = s.G[:, 0]
     v0 = float(vd[0])
     a0 = float(a[0])
     push = g * v0 - h > tol.feas
     hi = np.divide(h, g, out=np.full_like(h, np.inf), where=push & s.upper)
     lo = np.divide(h, g, out=np.full_like(h, -np.inf), where=push & s.lower)
-    hi = np.minimum.reduceat(hi, s.starts)
-    lo = np.maximum.reduceat(lo, s.starts)
+    hi = np.minimum.reduceat(hi, rows.starts)
+    lo = np.maximum.reduceat(lo, rows.starts)
     if a0 * v0 - r > tol.feas:
         if a0 > 0.0:
             hi = np.minimum(hi, r / a0)
         elif a0 < 0.0:
             lo = np.maximum(lo, r / a0)
     v = np.minimum(np.maximum(v0, lo), hi)
-    worst = np.maximum(np.maximum.reduceat(g * v[s.owner] - h, s.starts), a0 * v - r)
+    worst = np.maximum(np.maximum.reduceat(g * v[rows.owner] - h, rows.starts),
+                       a0 * v - r)
     obj = np.where(worst <= tol.feas, (v - v0) ** 2, np.inf)
     close = np.flatnonzero(obj <= tol.miqp_gap)
     j = int(close[0]) if close.size else int(np.argmin(obj))
@@ -241,11 +235,11 @@ def _clf_cell_qps(s: ClfStructure, h, a, r, vd, first_cell):
     c0 = float(vd @ vd)
 
     def cell_problem(j):
-        cell = s.cells[j]
+        cell = s.rows.slices[j]
         return QpProblem(g=g, h=np.append(h[cell], r), c0=c0, tol=tol,
                          matrices=s.cost.with_rows(np.vstack([s.G[cell], a])))
 
-    order = list(range(len(s.cells)))
+    order = list(range(len(s.rows.slices)))
     if first_cell is not None:
         order.insert(0, order.pop(first_cell))
     best = _best_cell(order, cell_problem, tol)
@@ -341,11 +335,12 @@ class FlmpcStructure:
     controller: the horizon structure without the union, and per cell the
     matrix record of its first-step program (the base H and E; the base
     rows plus that cell's rows on (z_0, v_0)) and the right-hand side of
-    those rows."""
+    those rows, all factored and solved with the tolerances ``tol``."""
 
     horizon: HorizonStructure
     cells: tuple
     rhs: tuple
+    tol: Tolerances
 
 
 def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
@@ -356,19 +351,18 @@ def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
     zeta_cols = np.concatenate([np.arange(n_z),
                                 np.arange(n_z * (spec.N_p + 1),
                                           n_z * (spec.N_p + 1) + m)])
-    stacked = U.stacked
-    lifted = np.zeros((stacked.b.size, t.n_cont))
+    rows = U.stacked
+    lifted = np.zeros((rows.b.size, t.n_cont))
     lifted[:, zeta_cols] = lift_rows(U, spec.input_map, n_z + m)
     base = QpMatrices.of(t.H, E=t.E, tol=tol)
-    cut = stacked.starts[1:]
     return FlmpcStructure(
         horizon=horizon,
-        cells=tuple(base.with_rows(np.vstack([t.G, a])) for a in np.split(lifted, cut)),
-        rhs=tuple(np.concatenate([t.h, b]) for b in np.split(stacked.b, cut)))
+        cells=tuple(base.with_rows(np.vstack([t.G, lifted[c]])) for c in rows.slices),
+        rhs=tuple(np.concatenate([t.h, rows.b[c]]) for c in rows.slices), tol=tol)
 
 
-def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None, v_ref=None,
-               tol: Tolerances = DEFAULT) -> FlmpcStepResult:
+def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None,
+               v_ref=None) -> FlmpcStepResult:
     """FL-MPC baseline: input constrained at step 0 only.
 
     The nonlinear first-input constraint |Phi(z0, v0)| <= u_bar is enforced
@@ -380,6 +374,7 @@ def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None, v_ref=None,
     ``flmpc_structure(spec, U, tol)``, built once by a controller.
     """
     base = structure.horizon.instantiate(z0, z_ref, v_ref)
+    tol = structure.tol
 
     def cell_problem(j):
         return QpProblem(g=base.g, h=structure.rhs[j], d=base.d, c0=base.c0,
@@ -448,7 +443,7 @@ def make_flmpc_controller(spec: MpcSpec, U, phi, refs=None,
         if refs is not None:
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
-        out = flmpc_step(structure, phi, z, z_ref=z_ref, v_ref=v_ref, tol=tol)
+        out = flmpc_step(structure, phi, z, z_ref=z_ref, v_ref=v_ref)
         ms = (time.perf_counter() - t0) * 1e3
         return out.v, ms, {"cell": out.cell,
                            "forecast": (out.z_forecast, out.v_forecast)}

@@ -129,13 +129,6 @@ class TaylorCellBound:
         return self.eps_taylor + self.eps_vertices
 
 
-def required_granularity(delta_eps: float, gamma_eps: float) -> float:
-    """Largest rho_bar for which the padding term stays below delta_eps."""
-    if delta_eps <= 0 or gamma_eps <= 0:
-        raise ValueError("delta_eps and gamma_eps must be positive")
-    return delta_eps / gamma_eps
-
-
 def _grid_slab(grid: GridSpec):
     """The slowest axis's points and the tail grid of the other axes, one
     (C-ordered) row per tail point; a slab is one head value x the tail."""

@@ -13,39 +13,24 @@ blocks under the discrete dynamics and produce one MIQP.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cached_property
 
 import numpy as np
 
 from .numkernel import RecordStore
-from .polytope import HPolytope, StackedRows, intersect, is_empty, row_violations
+from .polytope import HPolytope, intersect, is_empty, row_violations
 from .relupwa import PwaDecomposition
 from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass
-class AdmissibleCell:
-    alpha: np.ndarray
-    F: np.ndarray
-    f: np.ndarray
-    polytope: HPolytope  # support rows + workspace rows + output-bound rows
+class AdmissibleUnion(PwaDecomposition):
+    """The admissible set: the pieces whose cells, with the tightened output
+    bounds appended (support rows + workspace rows + output-bound rows),
+    are non-empty."""
 
-
-@dataclass
-class AdmissibleUnion:
-    cells: list
     lower: np.ndarray   # tightened output lower bounds
     upper: np.ndarray   # tightened output upper bounds
     eps: np.ndarray
-    input_dim: int
-
-    def __len__(self):
-        return len(self.cells)
-
-    @cached_property
-    def stacked(self) -> StackedRows:
-        """Every member's rows in one matrix, for locating points."""
-        return StackedRows.of([c.polytope for c in self.cells])
 
 
 def build_admissible_union(d: PwaDecomposition, u_max, eps, u_min=None,
@@ -68,7 +53,7 @@ def build_admissible_union(d: PwaDecomposition, u_max, eps, u_min=None,
     lo = u_min + eps
     if np.any(hi <= lo):
         raise ValueError("tightening leaves an empty output range (eps too large)")
-    cells = []
+    pieces = []
     for p in d.pieces:
         rows = np.vstack([p.F, -p.F])
         rhs = np.concatenate([hi - p.f, p.f - lo])
@@ -78,22 +63,30 @@ def build_admissible_union(d: PwaDecomposition, u_max, eps, u_min=None,
         cell = intersect(p.polytope, HPolytope(rows, rhs))
         if is_empty(cell, tol):
             continue
-        cells.append(AdmissibleCell(alpha=p.alpha, F=p.F, f=p.f, polytope=cell))
-    if not cells:
+        pieces.append(replace(p, polytope=cell))
+    if not pieces:
         raise ValueError("admissible set is empty: every tightened cell vanished")
-    return AdmissibleUnion(cells=cells, lower=lo, upper=hi, eps=eps,
-                           input_dim=d.workspace.dim)
+    return AdmissibleUnion(workspace=d.workspace, pieces=pieces, lower=lo, upper=hi,
+                           eps=eps)
 
 
-@dataclass
+@dataclass(frozen=True)
 class BigMData:
-    per_row: list           # one array of row constants per cell
-    per_cell: np.ndarray    # max over rows, reported per cell
+    """Big-M constants, one per row of the union's stacked rows; ``starts``
+    is that layout's first row of each cell."""
+
+    per_row: np.ndarray
+    starts: np.ndarray
+
+    @property
+    def per_cell(self) -> np.ndarray:
+        """Each cell's largest row constant."""
+        return np.maximum.reduceat(self.per_row, self.starts)
 
     @classmethod
     def uniform(cls, U: AdmissibleUnion, value: float):
-        return cls(per_row=[np.full(c.polytope.num_rows, float(value)) for c in U.cells],
-                   per_cell=np.full(len(U), float(value)))
+        rows = U.stacked
+        return cls(per_row=np.full(rows.b.size, float(value)), starts=rows.starts)
 
 
 def compute_big_m(U: AdmissibleUnion, Z_box: HPolytope) -> BigMData:
@@ -102,20 +95,15 @@ def compute_big_m(U: AdmissibleUnion, Z_box: HPolytope) -> BigMData:
     Each row constant is max_{zeta in Z_box} (Theta_j zeta - theta_j),
     floored at zero, read in closed form from the box's corners.
     """
-    per_row = []
-    per_cell = []
-    for c in U.cells:
-        v = np.maximum(row_violations(c.polytope, Z_box), 0.0)
-        per_row.append(v)
-        per_cell.append(float(v.max()))
-    return BigMData(per_row=per_row, per_cell=np.array(per_cell))
+    rows = U.stacked
+    violations = row_violations(HPolytope(rows.A, rows.b), Z_box)
+    return BigMData(per_row=np.maximum(violations, 0.0), starts=rows.starts)
 
 
 def validate_big_m_override(U: AdmissibleUnion, Z_box: HPolytope,
                             value: float) -> BigMData:
     """Uniform override, rejected when it undercuts any exact row constant."""
-    exact = compute_big_m(U, Z_box)
-    worst = float(exact.per_cell.max())
+    worst = float(compute_big_m(U, Z_box).per_row.max())
     if value < worst:
         raise ValueError(
             f"big-M override {value} is below the required M*={worst:.4f}; "
@@ -225,7 +213,7 @@ def lift_rows(U: AdmissibleUnion, input_map, zeta_dim):
     selector S; the rows' right-hand sides are ``U.stacked.b``. The one
     place the union meets the input map."""
     S = np.eye(zeta_dim) if input_map is None else np.asarray(input_map, dtype=float)
-    if S.shape != (U.input_dim, zeta_dim):
+    if S.shape != (U.workspace.dim, zeta_dim):
         raise ValueError("input map shape does not match cell/zeta dimensions")
     return U.stacked.A @ S
 
@@ -242,8 +230,7 @@ def step_rows(U: AdmissibleUnion, big_m: BigMData, input_map, zeta_dim):
         return lifted, rhs
     rows = np.zeros((rhs.size, zeta_dim + len(U)))
     rows[:, :zeta_dim] = lifted
-    cell = np.repeat(np.arange(len(U)), [c.polytope.num_rows for c in U.cells])
-    rows[np.arange(rhs.size), zeta_dim + cell] = -np.concatenate(big_m.per_row)
+    rows[np.arange(rhs.size), zeta_dim + U.stacked.owner] = -big_m.per_row
     return rows, rhs
 
 

@@ -28,12 +28,6 @@ from .plants import aircraft as aircraft_mod
 from .plants import pmsm as pmsm_mod
 from .plants import uav as uav_mod
 
-DEFAULT_NETWORKS = {
-    "aircraft": "aircraft_net.json",
-    "uav": "uav_net.json",
-    "pmsm": "pmsm_net.json",
-}
-
 # recorded certification margins of the packaged fixtures
 DEFAULT_EPS = {
     "aircraft": np.array([0.1897]),
@@ -59,14 +53,10 @@ class Pipeline:
 
     def ensure_union(self):
         if self.union is None:
-            cfg = self.cfg
-            u_max = cfg.u_max if cfg.u_max is not None else self.plant.u_max
-            u_min = cfg.u_min if cfg.u_min is not None else self.plant.u_min
-            eps = cfg.eps if cfg.eps is not None else DEFAULT_EPS[cfg.plant]
-            if cfg.plant == "uav":
-                # only the speed channel runs through the network
-                u_max, u_min = u_max[:1], u_min[:1]
-                eps = eps[:1]
+            cfg, plant, n = self.cfg, self.plant, self.net.n2
+            u_max = _per_output(cfg.u_max, plant.u_max, n, "tightening.u_max")
+            u_min = _per_output(cfg.u_min, plant.u_min, n, "tightening.u_min")
+            eps = _per_output(cfg.eps, DEFAULT_EPS[cfg.plant], n, "tightening.eps")
             self.union = _tightened_union(self.ensure_cells(), u_max, eps,
                                           u_min=u_min)
         return self.union
@@ -82,6 +72,18 @@ class Pipeline:
         return self.big_m
 
 
+def _per_output(value, default, n, path):
+    """A tightening vector of one entry or one per network output (n): the
+    config's, else the first n of ``default`` (the UAV's network carries
+    only the first of its plant's two inputs, the speed)."""
+    if value is None:
+        return default[:n]
+    if value.size not in (1, n):
+        raise ConfigError(f"{path}: expected 1 or {n} entries (one per network "
+                          f"output), got {value.size}")
+    return value
+
+
 def _tightened_union(cells, u_max, eps, u_min=None):
     """``build_admissible_union``; a tightening that leaves nothing
     admissible is a configuration error."""
@@ -93,7 +95,7 @@ def _tightened_union(cells, u_max, eps, u_min=None):
 
 def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
     plant = plants.make_plant(cfg.plant)
-    net_name = cfg.network or DEFAULT_NETWORKS[cfg.plant]
+    net_name = cfg.network or f"{cfg.plant}_net.json"
     net = ReluNetwork.load(cfg.resolve_path(net_name))
     if cfg.workspace_lower is not None:
         if cfg.workspace_lower.shape != (net.n0,):
@@ -157,8 +159,9 @@ def run_taylor_table(pipe: Pipeline):
         raise ValueError("the per-cell Taylor table is an aircraft analysis")
     params = pipe.plant.extras["params"]
     lips = aircraft_mod.aircraft_lipschitz(params)
-    u_max = cfg.taylor_u_max if cfg.taylor_u_max is not None else np.array([4.0])
-    eps = cfg.eps if cfg.eps is not None else DEFAULT_EPS["aircraft"]
+    n = pipe.net.n2
+    u_max = _per_output(cfg.taylor_u_max, np.array([4.0]), n, "grid.taylor_u_max")
+    eps = _per_output(cfg.eps, DEFAULT_EPS["aircraft"], n, "tightening.eps")
     union = _tightened_union(pipe.ensure_cells(), u_max, eps)
 
     def phi(zeta):
@@ -167,7 +170,7 @@ def run_taylor_table(pipe: Pipeline):
     def phi_grad(zeta):
         return np.array(aircraft_mod.aircraft_phi_grad(zeta[0], zeta[1], params))
 
-    return taylor_cell_bounds(phi, phi_grad, union.cells, lips["C_zeta"]), lips
+    return taylor_cell_bounds(phi, phi_grad, union.pieces, lips["C_zeta"]), lips
 
 
 def _uav_reference(pipe: Pipeline):

@@ -37,7 +37,6 @@ class UavParams:
     u1_max: float = 26.0       # m/s
     u2_max: float = 0.5774     # tan(30 deg)
     g: float = GRAVITY
-    eps_tighten: float = 0.981  # recorded tightening (>= the certified error)
     # workspace box on (z2, z4); offset from the origin because the surrogate
     # is only enumerated/certified over the demo's first-quadrant flight
     # envelope (turn-then-hold at 18 m/s)

@@ -74,31 +74,37 @@ class HPolytope:
 @dataclass(frozen=True)
 class StackedRows:
     """The rows of several polytopes in one matrix, so that a point is
-    scanned against all of them at once."""
+    scanned against all of them at once. The one record of the layout:
+    ``starts`` holds each polytope's first row, ``slices`` its rows and
+    ``owner`` each row's polytope."""
 
     A: np.ndarray
     b: np.ndarray
-    starts: np.ndarray     # first row of each polytope
+    starts: np.ndarray
+    slices: tuple
+    owner: np.ndarray
 
     @classmethod
     def of(cls, polytopes):
         counts = [P.num_rows for P in polytopes]
+        starts = np.cumsum([0] + counts[:-1])
         return cls(A=np.vstack([P.A for P in polytopes]),
                    b=np.concatenate([P.b for P in polytopes]),
-                   starts=np.cumsum([0] + counts[:-1]))
+                   starts=starts,
+                   slices=tuple(slice(s, s + c) for s, c in zip(starts, counts)),
+                   owner=np.repeat(np.arange(len(counts)), counts))
 
     def locate(self, y, tol_feas):
         """Index of the first polytope with the smallest max-residual at y,
         or -1 when that residual exceeds ``tol_feas``. For an (N, dim) batch
         of points, an array of N indices.
 
-        The two forms round residuals differently (matrix-matrix against
-        matrix-vector products), so for a point on a shared facet the batch
-        form can return the other polytope that contains it. Only the
-        single-point form feeds the traces' ``cell_index``; the batch form
-        serves cell hints, where either containing cell will do."""
+        Each residual is one ``einsum`` sum of products, whose rounding does
+        not depend on the batch size, so both forms give the same answer,
+        on a facet shared by two polytopes too."""
         y = np.asarray(y, dtype=float)
-        worst = np.maximum.reduceat(y @ self.A.T - self.b, self.starts, axis=-1)
+        worst = np.maximum.reduceat(np.einsum("...j,ij->...i", y, self.A) - self.b,
+                                    self.starts, axis=-1)
         j = worst.argmin(axis=-1)
         if y.ndim == 1:
             return int(j) if worst[j] <= tol_feas else -1

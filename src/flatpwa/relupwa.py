@@ -125,12 +125,15 @@ class AffinePiece:
 
 @dataclass
 class PwaDecomposition:
+    """Affine pieces over a workspace box."""
+
     workspace: HPolytope
     pieces: list
 
     @cached_property
     def stacked(self) -> StackedRows:
-        """Every piece's rows in one matrix, for locating points."""
+        """Every piece's rows in one matrix: the layout that point location,
+        big-M constants and the controllers' row blocks all read."""
         return StackedRows.of([p.polytope for p in self.pieces])
 
     @property
@@ -212,20 +215,6 @@ def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
         if piece is not None:
             pieces.append(piece)
     return PwaDecomposition(workspace=workspace, pieces=pieces)
-
-
-def pwa_eval(d: PwaDecomposition, y0, tol: Tolerances = DEFAULT):
-    """Evaluate the PWA function at a point inside the workspace.
-
-    The containing piece is located by feasibility residual; boundary ties go
-    to the smallest max-residual (the function is continuous, so any
-    containing piece gives the same value up to rounding).
-    """
-    y0 = np.asarray(y0, dtype=float)
-    j = d.stacked.locate(y0, tol.feas) if d.pieces else -1
-    if j < 0:
-        raise ValueError("point lies outside every cell (outside the workspace)")
-    return d.pieces[j].F @ y0 + d.pieces[j].f
 
 
 def pwa_eval_batch(net: ReluNetwork, pts):

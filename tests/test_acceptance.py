@@ -17,6 +17,7 @@ from flatpwa.errorbounds import GridSpec, grid_error_certificate, taylor_cell_bo
 from flatpwa.miencoding import build_admissible_union, compute_big_m, encode_horizon
 from flatpwa.miqpsolver import SolveBudget, solve_by_cell_enumeration, solve_miqp
 from flatpwa.numkernel import OPTIMAL
+from flatpwa.pipeline import DEFAULT_EPS
 from flatpwa.plants import aircraft as aircraft_mod
 from flatpwa.plants import uav as uav_mod
 from flatpwa.polytope import box_bounds, max_row_violation
@@ -129,7 +130,7 @@ def test_c5_taylor_table(aircraft_cells):
     def grad(zeta):
         return np.array(aircraft_mod.aircraft_phi_grad(zeta[0], zeta[1], PARAMS))
 
-    table = taylor_cell_bounds(phi, grad, union.cells, lips["C_zeta"])
+    table = taylor_cell_bounds(phi, grad, union.pieces, lips["C_zeta"])
     rows = sorted(table, key=lambda t: -t.radius)
     expect = [(4.9177, 1325.2, 0.2006), (3.6495, 983.5, 0.1365),
               (3.6457, 982.5, 0.1379)]
@@ -290,7 +291,7 @@ def test_c11_performance_envelope(aircraft_union, aircraft_bigm, aircraft_plant,
     uparams = uav_plant.extras["params"]
     d_uav = enumerate_cells(uav_net, uav_plant.net_workspace)
     U_uav = build_admissible_union(d_uav, u_max=uparams.u1_max,
-                                   eps=uparams.eps_tighten,
+                                   eps=DEFAULT_EPS["uav"],
                                    u_min=uparams.u1_min)
     bigm_uav = compute_big_m(U_uav, uav_plant.net_workspace)
     A_d, B_d = rk4_discretize(uav_plant.A, uav_plant.B, 0.1)

@@ -123,13 +123,23 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
      "simulation.duration"),
     ("simulate", "aircraft_mpc", {"simulation.duration": 0.04}, [],
      "simulation.duration"),
+    ("simulate", "aircraft_mpc", {"tightening.u_max": [5.0, 5.0]}, [],
+     "tightening.u_max"),
+    ("simulate", "aircraft_mpc", {"tightening.u_min": [-5.0, 1.0]}, [],
+     "tightening.u_min"),
+    ("simulate", "uav_tracking", {"tightening.u_max": [26.0, 0.5774]}, [],
+     "tightening.u_max"),
+    ("certify", "aircraft_mpc", {"grid.deltas": [0.01, 0.05],
+                                 "grid.taylor_u_max": [4.0, 4.0]}, [],
+     "grid.taylor_u_max"),
 ], ids=["clf-P-missing", "clf-gamma-missing", "clf-K-missing", "clf-P-shape",
         "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "clf-P-zero",
         "clf-P-indefinite", "mpc-Q-shape", "mpc-Q-asymmetric", "mpc-R-shape",
         "mpc-x0-length", "clf-x0-length", "workspace-dimension", "budget-ms-negative",
         "budget-ms-nan", "threads-zero", "threads-negative", "substep-not-dividing",
         "substep-above-period", "period-not-divided", "duration-fractional",
-        "duration-below-period"])
+        "duration-below-period", "u-max-longer-than-outputs",
+        "u-min-longer-than-outputs", "uav-u-max-per-input", "taylor-u-max-length"])
 def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
                                                     scenario, edits, flags,
                                                     field):

@@ -8,10 +8,14 @@ BASE = ["0.000000,0.1,0.1,0.5,0.2,0,1.234",
         "0.100000,0.2,0.2,0.4,0.1,1,0.900"]
 
 
-def _tree(root, traces):
+def _tree(root, traces, reports=None):
+    """One trace per scenario, and ``reports``: {scenario: {file: text}}."""
     for name, rows in traces.items():
         (root / name).mkdir(parents=True)
         (root / name / "trace.csv").write_text(HEADER + "".join(r + "\n" for r in rows))
+    for name, files in (reports or {}).items():
+        for report, text in files.items():
+            (root / name / report).write_text(text)
     return root
 
 
@@ -38,17 +42,44 @@ def test_compare_traces(tmp_path):
     assert _compare(tmp_path / "none", tmp_path / "none")[0] == 2
 
 
+def test_compare_traces_checks_set_up_reports(tmp_path):
+    reports = {"cells.json": '{"num_cells": 3}\n', "bigm.json": '{"per_cell": [1.0]}\n',
+               "summary.json": '{"mean_solver_ms": 1.0}\n'}
+    a = _tree(tmp_path / "a", {"s1": BASE, "s2": BASE}, {"s1": reports})
+    # summary.json holds wall-clock values and is not compared
+    timed = dict(reports, **{"summary.json": '{"mean_solver_ms": 2.0}\n'})
+    code, out = _compare(a, _tree(tmp_path / "b", {"s1": BASE, "s2": BASE},
+                                  {"s1": timed}))
+    assert code == 0 and out == "s1: bit-identical\ns2: bit-identical\n"
+    # one byte of big-M moves: the report is named, even with the trace equal
+    moved = dict(reports, **{"bigm.json": '{"per_cell": [1.5]}\n'})
+    code, out = _compare(a, _tree(tmp_path / "c", {"s1": BASE, "s2": BASE},
+                                  {"s1": moved}))
+    assert code == 1 and out.startswith("s1: bigm.json differs\n")
+    # and next to a moved column
+    shifted = [BASE[0], BASE[1].replace(",0.1,1,", ",0.15,1,")]
+    code, out = _compare(a, _tree(tmp_path / "d", {"s1": shifted, "s2": BASE},
+                                  {"s1": moved}))
+    assert code == 1 and "s1: v1 max |delta| 0.05; bigm.json differs\n" in out
+    only_cells = {"cells.json": reports["cells.json"]}
+    code, out = _compare(a, _tree(tmp_path / "e", {"s1": BASE, "s2": BASE},
+                                  {"s1": only_cells}))
+    assert code == 1 and f"s1: bigm.json missing in {tmp_path / 'e' / 's1'}" in out
+
+
 WRITER = TOOL.parent / "write_traces.py"
 
 
 def test_write_traces_feeds_compare_traces(tmp_path):
-    # two runs of one short scenario: the tree compare_traces reads, and
-    # bit-identical on one thread
+    # two runs of one short scenario: the tree compare_traces reads (trace
+    # and set-up reports), and bit-identical on one thread
     for side in ("a", "b"):
         out = subprocess.run([sys.executable, str(WRITER), str(tmp_path / side),
                               "aircraft_flmpc"], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["aircraft_flmpc"]
+    assert sorted(p.name for p in (tmp_path / "a" / "aircraft_flmpc").iterdir()) == [
+        "bigm.json", "cells.json", "summary.json", "trace.csv"]
     code, out = _compare(tmp_path / "a", tmp_path / "b")
     assert code == 0 and out == "aircraft_flmpc: bit-identical\n"
     missing = subprocess.run([sys.executable, str(WRITER), str(tmp_path / "c"),

@@ -6,8 +6,7 @@ import pytest
 
 from flatpwa import errorbounds
 from flatpwa.errorbounds import (GridBudgetExceeded, GridSpec,
-                                 grid_error_certificate, required_granularity,
-                                 taylor_cell_bounds)
+                                 grid_error_certificate, taylor_cell_bounds)
 from flatpwa.miencoding import build_admissible_union
 from flatpwa.plants.aircraft import (AircraftParams, aircraft_lipschitz,
                                      aircraft_phi, aircraft_phi_grad)
@@ -49,14 +48,6 @@ def test_aircraft_grid_size_and_granularity():
     assert g.rho_bar <= 0.68e-3
     assert g.rho_bar == pytest.approx(0.6364e-3, abs=1e-6)
     assert g.num_points > 8.6e6
-
-
-def test_required_granularity_values():
-    assert required_granularity(0.025, 36.71) == pytest.approx(0.681e-3, abs=1e-6)
-    assert required_granularity(2.0, 2.0) == pytest.approx(1.0)
-    assert required_granularity(0.01, 36.71) == pytest.approx(2.724e-4, abs=1e-7)
-    with pytest.raises(ValueError):
-        required_granularity(0.0, 1.0)
 
 
 def test_self_approximation_certificate(aircraft_net, aircraft_cells):
@@ -253,7 +244,7 @@ def test_taylor_table_matches_published_values(aircraft_cells):
     def grad(zeta):
         return np.array(aircraft_phi_grad(zeta[0], zeta[1], PARAMS))
 
-    table = taylor_cell_bounds(phi, grad, union.cells, lips["C_zeta"])
+    table = taylor_cell_bounds(phi, grad, union.pieces, lips["C_zeta"])
     rows = sorted(table, key=lambda t: t.center[0])
     expect = [(3.6495, 983.5, 0.1365), (4.9177, 1325.2, 0.2006),
               (3.6457, 982.5, 0.1379)]
@@ -274,9 +265,9 @@ def test_taylor_bounds_dominate_true_error(aircraft_net, aircraft_cells):
     def grad(zeta):
         return np.array(aircraft_phi_grad(zeta[0], zeta[1], PARAMS))
 
-    table = taylor_cell_bounds(phi, grad, union.cells, lips["C_zeta"])
+    table = taylor_cell_bounds(phi, grad, union.pieces, lips["C_zeta"])
     from flatpwa.polytope import vertices
-    for cell, bound in zip(union.cells, table):
+    for cell, bound in zip(union.pieces, table):
         V = vertices(cell.polytope)
         pts = np.vstack([V.points, V.points.mean(axis=0)])
         true_err = np.abs(aircraft_true(pts)

@@ -21,7 +21,7 @@ def test_union_identity_single_box():
     _, d = identity_pwa()
     U = build_admissible_union(d, u_max=1.0, eps=0.0)
     assert len(U) == 1
-    cell = U.cells[0]
+    cell = U.pieces[0]
     assert cell.polytope.contains([0.5])
     assert not cell.polytope.contains([1.5])
 
@@ -39,7 +39,7 @@ def test_union_vacuous_tightening_rejected():
 def test_union_asymmetric_bounds():
     _, d = identity_pwa()
     U = build_admissible_union(d, u_max=0.9, eps=0.1, u_min=0.2)
-    cell = U.cells[0]
+    cell = U.pieces[0]
     assert cell.polytope.contains([0.5])
     assert not cell.polytope.contains([0.25])   # below the tightened floor
     assert not cell.polytope.contains([0.85])
@@ -63,7 +63,7 @@ def test_big_m_aircraft_own_cell_matches_appendix(aircraft_cells, aircraft_plant
     U4 = build_admissible_union(aircraft_cells, u_max=4.0, eps=0.1897)
     data = compute_big_m(U4, aircraft_plant.net_workspace)
     # the fully-active cell is the one whose pattern is (1, 1, 1)
-    idx = [i for i, c in enumerate(U4.cells)
+    idx = [i for i, c in enumerate(U4.pieces)
            if tuple(c.alpha) == (1, 1, 1)][0]
     assert data.per_cell[idx] == pytest.approx(4.3247, abs=1e-2)
 
@@ -107,13 +107,13 @@ def test_step_rows_cardinality_semantics(aircraft_union, aircraft_bigm):
     x[:2] = [0.0, 0.0]
     x[2:] = [1.0, 1.0, 0.0]
     resid = G @ x - h
-    rows_per_cell = [c.polytope.num_rows for c in aircraft_union.cells]
+    rows_per_cell = [c.polytope.num_rows for c in aircraft_union.pieces]
     ofs = np.cumsum([0] + rows_per_cell)
     relaxed = resid[:ofs[2]]
     hard = resid[ofs[2]:ofs[3]]
     assert np.all(relaxed <= 0.0)          # relaxed by the big-M column
     assert hard.max() == pytest.approx(
-        aircraft_union.cells[2].polytope.residual(np.zeros(2)), abs=1e-12)
+        aircraft_union.pieces[2].polytope.residual(np.zeros(2)), abs=1e-12)
 
 
 def test_encode_point_forces_unique_cell(aircraft_union, aircraft_bigm,
@@ -121,7 +121,7 @@ def test_encode_point_forces_unique_cell(aircraft_union, aircraft_bigm,
     # a state whose (z1, v) slice is interior to exactly one member: the only
     # feasible integral assignments put beta = 0 on that member
     target = 0
-    center, _ = chebyshev_center(aircraft_union.cells[target].polytope)
+    center, _ = chebyshev_center(aircraft_union.pieces[target].polytope)
     z = np.array([center[0], 0.0])
     v = np.array([center[1]])
     G, h, E, d, n_bin, groups = encode_point(
@@ -195,7 +195,7 @@ def test_union_membership_soundness(aircraft_union, aircraft_bigm,
             x = np.concatenate([v, beta])
             if np.max(G @ x - h) <= 1e-9:
                 hits += 1
-                members = [k for k, c in enumerate(aircraft_union.cells)
+                members = [k for k, c in enumerate(aircraft_union.pieces)
                            if c.polytope.residual(
                                np.array([0.0, v[0]])) <= 1e-8]
                 assert members == [j]

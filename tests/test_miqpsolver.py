@@ -175,7 +175,7 @@ def test_cell_sequence_decoding(aircraft_union, aircraft_bigm, aircraft_plant):
     vs = res.x[2 * 3:].reshape(2, 1)
     for i, j in enumerate(seq):
         y = aircraft_plant.input_map @ np.concatenate([zs[i], vs[i]])
-        assert aircraft_union.cells[j].polytope.residual(y) <= 1e-7
+        assert aircraft_union.pieces[j].polytope.residual(y) <= 1e-7
 
 
 def test_iteration_cap_stops_search_without_pruning(monkeypatch, aircraft_union,

@@ -33,13 +33,13 @@ def _ref_lift(cell, input_map, zeta_dim):
 def _ref_step(U, big_m, zeta_cols, beta_cols, total_vars, input_map):
     zeta_cols = np.asarray(zeta_cols, dtype=int)
     rows, rhs = [], []
-    for j, cell in enumerate(U.cells):
+    for j, cell in enumerate(U.pieces):
         A_z, b_z = _ref_lift(cell, input_map, zeta_cols.size)
         for r in range(A_z.shape[0]):
             row = np.zeros(total_vars)
             row[zeta_cols] = A_z[r]
             if len(U) > 1:
-                row[beta_cols[j]] = -big_m.per_row[j][r]
+                row[beta_cols[j]] = -big_m.per_row[len(rows)]
             rows.append(row)
             rhs.append(b_z[r])
     card_row = None
@@ -130,14 +130,14 @@ def _ref_point(U, z, big_m, input_map, n_z, m):
     n_bin = len(U) if use_bin else 0
     n = m + n_bin
     rows, rhs = [], []
-    for j, cell in enumerate(U.cells):
+    for j, cell in enumerate(U.pieces):
         A_z, b_z = _ref_lift(cell, input_map, n_z + m)
         const = A_z[:, :n_z] @ z
         for r in range(A_z.shape[0]):
             row = np.zeros(n)
             row[:m] = A_z[r, n_z:]
             if use_bin:
-                row[m + j] = -big_m.per_row[j][r]
+                row[m + j] = -big_m.per_row[len(rows)]
             rows.append(row)
             rhs.append(b_z[r] - const[r])
     for k in range(n_bin):

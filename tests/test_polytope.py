@@ -195,7 +195,7 @@ def test_l1_ball_aircraft_cells_match_published_table(aircraft_cells):
     # of the tightened cells (output bound 4, margin 0.1897)
     union = build_admissible_union(aircraft_cells, u_max=4.0, eps=0.1897)
     rows = []
-    for cell in union.cells:
+    for cell in union.pieces:
         V = vertices(cell.polytope)
         c = V.points.mean(axis=0)
         rows.append((c, np.abs(V.points - c).sum(axis=1).max()))
@@ -273,6 +273,39 @@ def test_stacked_rows_locate_tie_rule_and_reference(uav_cells):
         assert uav_cells.stacked.locate(y, 1e-8) == first_smallest(polys, y) == j
 
 
+def test_stacked_rows_layout():
+    # every row's polytope, each polytope's rows: one record of the layout
+    polys = [unit_box(), intersect(unit_box(), HPolytope([[1.0, 1.0]], [1.0])),
+             unit_box()]
+    S = StackedRows.of(polys)
+    assert S.starts.tolist() == [0, 4, 9]
+    assert S.slices == (slice(0, 4), slice(4, 9), slice(9, 13))
+    assert S.owner.tolist() == [0] * 4 + [1] * 5 + [2] * 4
+    for P, rows in zip(polys, S.slices):
+        assert S.A[rows].tobytes() == P.A.tobytes()
+        assert S.b[rows].tobytes() == P.b.tobytes()
+
+
+def test_stacked_rows_locate_single_and_batch_agree(shipped_pipelines):
+    # residuals round the same way for one point and for a batch: random
+    # points, and points projected onto the network's kink hyperplanes,
+    # where two cells share a facet and the rounding decides the tie
+    for pipe in shipped_pipelines:
+        U, net = pipe.ensure_union(), pipe.net
+        lo, hi = box_bounds(pipe.workspace)
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(lo, hi, size=(300, lo.size))
+        k = rng.integers(net.n1, size=300)
+        w, c = net.W1[k], net.b1[k]
+        on_facet = pts - (((w * pts).sum(axis=1) + c) / (w * w).sum(axis=1))[:, None] * w
+        ys = np.vstack([pts, on_facet])
+        batch = U.stacked.locate(ys, DEFAULT.feas)
+        assert [U.stacked.locate(y, DEFAULT.feas) for y in ys] == batch.tolist()
+        held = [sum(p.polytope.residual(y) <= DEFAULT.feas for p in U.pieces)
+                for y in on_facet]
+        assert max(held) >= 2
+
+
 def lp_row_violations(P, Z):
     """Reference: one HiGHS LP per row, max_{x in Z} a_j x - b_j."""
     out = []
@@ -322,7 +355,7 @@ def shipped_pipelines():
 
 def test_row_violations_match_per_row_lp_on_shipped_unions(shipped_pipelines):
     for pipe in shipped_pipelines:
-        for cell in pipe.ensure_union().cells:
+        for cell in pipe.ensure_union().pieces:
             assert row_violations(cell.polytope, pipe.workspace) == pytest.approx(
                 lp_row_violations(cell.polytope, pipe.workspace), rel=1e-12, abs=1e-12)
 

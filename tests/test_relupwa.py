@@ -6,8 +6,8 @@ import pytest
 
 from flatpwa.plants.aircraft import aircraft_phi
 from flatpwa.polytope import box_bounds
-from flatpwa.relupwa import (ReluNetwork, enumerate_cells, forward, pwa_eval,
-                             pwa_eval_batch, pwa_lipschitz)
+from flatpwa.relupwa import (ReluNetwork, enumerate_cells, forward, pwa_eval_batch,
+                             pwa_lipschitz)
 
 
 def test_forward_zero_weights_returns_bias():
@@ -80,14 +80,6 @@ def test_enumerate_width_guard():
         enumerate_cells(net, HPolytope.box([-1.0], [1.0]))
 
 
-def test_pwa_eval_equals_forward_interior(aircraft_net, aircraft_cells,
-                                          chebyshev_center):
-    for piece in aircraft_cells.pieces:
-        x, _ = chebyshev_center(piece.polytope)
-        assert np.abs(pwa_eval(aircraft_cells, x)
-                      - forward(aircraft_net, x)).max() <= 1e-9
-
-
 def test_pwa_eval_boundary_continuity(aircraft_net, aircraft_cells):
     # points on the shared boundary of two pieces: both candidate affine maps
     # agree (the network is continuous)
@@ -100,11 +92,6 @@ def test_pwa_eval_boundary_continuity(aircraft_net, aircraft_cells):
                 if p.polytope.residual(x) <= 1e-7]
         assert len(vals) >= 2
         assert np.abs(np.diff(np.array(vals), axis=0)).max() <= 1e-7
-
-
-def test_pwa_eval_outside_workspace(aircraft_cells):
-    with pytest.raises(ValueError):
-        pwa_eval(aircraft_cells, np.array([10.0, 0.0]))
 
 
 @pytest.mark.parametrize("fixture", ["aircraft", "uav", "pmsm"])

@@ -1,17 +1,21 @@
-"""Compare the closed-loop traces of two output trees.
+"""Compare the closed-loop traces and set-up reports of two output trees.
 
     python tools/compare_traces.py DIR_A DIR_B
 
 Each scenario is a subdirectory holding a ``trace.csv``, as written by
 ``flatpwa simulate --config <scenario>.yaml --out DIR/<scenario>`` (pass
-``--budget-ms 1e9`` so that no solve stops on the clock). For every scenario
-it prints "bit-identical", or the largest |difference| of each column that
-moved and the steps whose ``cell_index`` differs. The wall-clock
-``solver_ms`` column is not compared.
+``--budget-ms 1e9`` so that no solve stops on the clock), and optionally the
+set-up reports ``cells.json`` and ``bigm.json`` of ``flatpwa enumerate`` and
+``flatpwa bigm`` (``tools/write_traces.py`` writes all three). For every
+scenario it prints "bit-identical", or the largest |difference| of each
+column that moved, the steps whose ``cell_index`` differs and each report
+that differs byte for byte or exists in one tree only. The wall-clock
+``solver_ms`` column and ``summary.json`` (which holds wall-clock values)
+are not compared.
 
-Exit status: 0 when every ``cell_index`` column matches, 1 when one differs
-or a scenario is missing, has other columns or another number of steps, and
-2 when neither directory holds a trace.
+Exit status: 0 when every ``cell_index`` column and every report matches, 1
+when one differs or a scenario is missing, has other columns or another
+number of steps, and 2 when neither directory holds a trace.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import sys
 from pathlib import Path
 
 SKIPPED = {"solver_ms"}
+REPORTS = ("cells.json", "bigm.json")
 
 
 def _read(path):
@@ -31,7 +36,8 @@ def _read(path):
 
 
 def compare(path_a, path_b):
-    """(report lines, whether the traces disagree on their cells or shape)."""
+    """(lines naming what moved, whether the traces disagree on their cells
+    or shape)."""
     cols, rows_a = _read(path_a)
     cols_b, rows_b = _read(path_b)
     if cols != cols_b:
@@ -53,7 +59,22 @@ def compare(path_a, path_b):
         else:
             delta = max(abs(float(x) - float(y)) for x, y in zip(a, b))
             lines.append(f"{name} max |delta| {delta:.3g}")
-    return lines or ["bit-identical"], mismatch
+    return lines, mismatch
+
+
+def compare_reports(dir_a, dir_b):
+    """One line per report that differs or exists in one tree only."""
+    lines = []
+    for report in REPORTS:
+        paths = [d / report for d in (dir_a, dir_b)]
+        present = [p.is_file() for p in paths]
+        if not any(present):
+            continue
+        if not all(present):
+            lines.append(f"{report} missing in {paths[present.index(False)].parent}")
+        elif paths[0].read_bytes() != paths[1].read_bytes():
+            lines.append(f"{report} differs")
+    return lines
 
 
 def main(argv=None) -> int:
@@ -74,7 +95,10 @@ def main(argv=None) -> int:
             lines, mismatch = [f"missing {', '.join(missing)}"], True
         else:
             lines, mismatch = compare(*paths)
-        print(f"{name}: {'; '.join(lines)}")
+            reports = compare_reports(*(p.parent for p in paths))
+            lines += reports
+            mismatch |= bool(reports)
+        print(f"{name}: {'; '.join(lines) or 'bit-identical'}")
         failed |= mismatch
     return 1 if failed else 0
 

@@ -1,18 +1,21 @@
-"""Write the closed-loop trace of every shipped scenario.
+"""Write the closed-loop trace and set-up reports of every shipped scenario.
 
     python tools/write_traces.py OUT_DIR [SCENARIO ...] [--src DIR]
 
 For each scenario (all shipped ones by default) it runs
 
     flatpwa simulate --config <scenario>.yaml --out OUT_DIR/<scenario> --budget-ms 1e9
+    flatpwa enumerate --config <scenario>.yaml --out OUT_DIR/<scenario>
+    flatpwa bigm --config <scenario>.yaml --out OUT_DIR/<scenario>
 
-in its own process with BLAS pinned to one thread, so that no solve stops
-on the clock and the thread count does not change the rounding. The
-resulting tree is what ``tools/compare_traces.py`` compares. ``--src`` runs
+each in its own process with BLAS pinned to one thread, so that no solve
+stops on the clock and the thread count does not change the rounding. The
+resulting tree (``trace.csv``, ``summary.json``, ``cells.json`` and
+``bigm.json`` per scenario) is what ``tools/compare_traces.py`` compares. ``--src`` runs
 the ``flatpwa`` package under DIR, such as another checkout's ``src``,
 instead of the one next to this tool.
 
-Exit status: 0 when every scenario wrote its trace, 1 otherwise.
+Exit status: 0 when every scenario wrote its trace and reports, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+COMMANDS = (("simulate", "--budget-ms", "1e9"), ("enumerate",), ("bigm",))
 
 
 def main(argv=None) -> int:
@@ -41,13 +45,14 @@ def main(argv=None) -> int:
                **dict.fromkeys(BLAS_VARS, "1"))
     failed = False
     for name in names:
-        cmd = [sys.executable, "-m", "flatpwa.cli", "simulate",
-               "--config", str(shipped / f"{name}.yaml"),
-               "--out", str(args.out_dir / name), "--budget-ms", "1e9"]
-        code = subprocess.run(cmd, env=env).returncode
-        if code != 0:
-            print(f"{name}: flatpwa simulate exited {code}", file=sys.stderr)
-            failed = True
+        for command, *flags in COMMANDS:
+            cmd = [sys.executable, "-m", "flatpwa.cli", command,
+                   "--config", str(shipped / f"{name}.yaml"),
+                   "--out", str(args.out_dir / name), *flags]
+            code = subprocess.run(cmd, env=env).returncode
+            if code != 0:
+                print(f"{name}: flatpwa {command} exited {code}", file=sys.stderr)
+                failed = True
     return 1 if failed else 0
 
 
