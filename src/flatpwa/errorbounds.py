@@ -9,7 +9,9 @@ Two routes:
   sample. The samples are the multiples of each step inside the workspace
   box, so unless its bounds are multiples of the steps, strips at the box
   edges lie outside the hull, farther than rho_bar from every sample, and
-  the padding does not cover them;
+  the padding does not cover them. The grid is a tensor product, and the
+  true map is evaluated on its open mesh, one coordinate array per axis,
+  never on materialised grid points;
 * per-cell Taylor analysis: a first-order expansion of the true map at a
   cell's linearization point bounds the in-cell error by the Taylor residual
   C_zeta * r_e / 2 plus the surrogate-vs-expansion error at the cell's
@@ -18,6 +20,7 @@ Two routes:
 
 from __future__ import annotations
 
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -129,29 +132,20 @@ class TaylorCellBound:
         return self.eps_taylor + self.eps_vertices
 
 
-def _grid_slab(grid: GridSpec):
-    """The slowest axis's points and the tail grid of the other axes, one
-    (C-ordered) row per tail point; a slab is one head value x the tail."""
-    axes = [grid.axis_points(i) for i in range(grid.deltas.size)]
-    if len(axes) > 1:
-        mesh = np.meshgrid(*axes[1:], indexing="ij")
-        tail = np.column_stack([m.ravel() for m in mesh])
-    else:
-        tail = np.zeros((1, 0))
-    return axes[0], tail
+def _grid_mesh(grid: GridSpec):
+    """The grid's open mesh (``np.ix_``): axis i runs along dimension i."""
+    return np.ix_(*(grid.axis_points(i) for i in range(grid.deltas.size)))
 
 
 def _grid_chunks(grid: GridSpec, chunk_rows):
-    """The grid in C order, ``block`` whole slabs at a time: as many as fit
-    in ``chunk_rows`` rows, and at least one."""
-    first, tail = _grid_slab(grid)
-    block = max(1, chunk_rows // max(1, tail.shape[0]))
-    for k in range(0, first.size, block):
-        head = first[k:k + block]
-        pts = np.empty((head.size, tail.shape[0], grid.deltas.size))
-        pts[:, :, 0] = head[:, None]
-        pts[:, :, 1:] = tail
-        yield pts.reshape(-1, grid.deltas.size)
+    """The open mesh in C order, ``block`` whole slabs at a time (as many as
+    fit in ``chunk_rows`` points, and at least one): the slowest axis's
+    values of the block as a (block, 1, ...) column, and each other axis
+    whole along its own dimension; a slab is one head value x the tail."""
+    head, *tail = _grid_mesh(grid)
+    block = max(1, chunk_rows // math.prod(a.size for a in tail))
+    for k in range(0, head.size, block):
+        yield (head[k:k + block], *tail)
 
 
 def _bounded_map(pool, fn, items, depth):
@@ -172,17 +166,21 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
                            chunk_rows: int = 25_000) -> ErrorCertificate:
     """Grid-max error with Lipschitz padding.
 
-    ``phi`` maps an (N, n_in) batch to (N,) (one output) or (N, n_out) true
-    values; any other shape raises ``ValueError``. gamma_eps = gamma_phi +
-    gamma_nn via the triangle inequality.
+    ``phi`` is called coordinate-wise, ``phi(x_1, ..., x_n_in)``, on an open
+    mesh of the grid: x_i holds values of axis i along dimension i only, so
+    a factor that depends on few coordinates runs on few values. It returns
+    the broadcast mesh shape (one output) or that shape + (n_out,); any
+    other shape raises ``ValueError``. gamma_eps = gamma_phi + gamma_nn via
+    the triangle inequality.
 
     The grid is a tensor product, walked in C order one slab at a time: a
     slab is one value of the slowest axis times the full tail grid of the
-    other axes. The surrogate's first layer is summed per axis, so no grid
-    point is multiplied by W1: the tail's term ``tail @ W1[:, 1:].T + b1`` is
-    formed once per certificate, and each slab adds its head's
-    ``head * W1[:, 0]`` to it before the ReLU and the output layer (the
-    forward pass up to the order of the first layer's sum).
+    other axes. No grid point is formed. The surrogate's first layer is
+    summed per axis: the tail's term ``tail @ W1[:, 1:].T + b1`` is formed
+    once per certificate, and each slab adds its head's ``head * W1[:, 0]``
+    to it before the ReLU and the output layer (the forward pass up to the
+    order of the first layer's sum). The argmax is read back from its index
+    on the axes.
 
     Chunks hold as many whole slabs as fit in ``chunk_rows`` points (at least
     one), so their temporaries stay near cache size; ``threads`` workers
@@ -200,31 +198,34 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     gamma_eps = gamma_phi + pwa_lipschitz(d)
 
     t0 = time.perf_counter()
-    _, tail = _grid_slab(grid)
-    slab = max(1, tail.shape[0])
+    _, *tail = _grid_mesh(grid)
+    tail_pts = (np.stack(np.broadcast_arrays(*tail), axis=-1).reshape(-1, len(tail))
+                if tail else np.zeros((1, 0)))
     # pre-activations stored unit-major, (n1, points): every sweep below runs
     # along the points
-    tail_pre = np.ascontiguousarray((tail @ net.W1[:, 1:].T + net.b1).T)
+    tail_pre = np.ascontiguousarray((tail_pts @ net.W1[:, 1:].T + net.b1).T)
     w_head = net.W1[:, 0]
 
-    def eval_chunk(pts):
-        n = pts.shape[0]
-        tr = np.asarray(phi(pts), dtype=float)
-        if tr.shape == (n,):
-            tr = tr[:, None]
-        if tr.shape != (n, n_out):
-            raise ValueError(f"phi returned shape {tr.shape} for {n} points; "
-                             f"expected ({n},) or ({n}, {n_out})")
-        head_pre = np.multiply.outer(w_head, pts[::slab, 0])
+    def eval_chunk(mesh):
+        shape = np.broadcast_shapes(*(a.shape for a in mesh))
+        n = math.prod(shape)
+        tr = np.asarray(phi(*mesh), dtype=float)
+        if tr.shape == shape:
+            tr = tr[..., None]
+        if tr.shape != shape + (n_out,):
+            raise ValueError(f"phi returned shape {tr.shape} on a mesh of shape "
+                             f"{shape}; expected {shape} or {shape + (n_out,)}")
+        head_pre = np.multiply.outer(w_head, mesh[0].ravel())
         pre = (head_pre[:, :, None] + tail_pre[:, None, :]).reshape(w_head.size, n)
         np.maximum(pre, 0.0, out=pre)
         err = net.W2 @ pre
         err += net.b2[:, None]
-        np.subtract(tr.T, err, out=err)
+        np.subtract(tr.reshape(n, n_out).T, err, out=err)
         np.abs(err, out=err)
         m = err.max(axis=1)
         j = int(err.max(axis=0).argmax())   # first point holding the chunk's max
-        return m, pts[j].copy()   # a view would pin the chunk
+        at = np.unravel_index(j, shape)
+        return m, np.array([a.ravel()[i] for a, i in zip(mesh, at)])
 
     best = np.zeros(n_out)
     arg = None
@@ -233,7 +234,7 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(_bounded_map(pool, eval_chunk, chunks, threads))
     else:
-        results = [eval_chunk(pts) for pts in chunks]
+        results = [eval_chunk(mesh) for mesh in chunks]
     for m, pt in results:
         if arg is None or m.max() > best.max():
             arg = pt

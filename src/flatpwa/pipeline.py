@@ -7,7 +7,7 @@ same construction code.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -79,8 +79,9 @@ def _per_output(value, default, n, path):
     if value is None:
         return default[:n]
     if value.size not in (1, n):
-        raise ConfigError(f"{path}: expected 1 or {n} entries (one per network "
-                          f"output), got {value.size}")
+        count = "1 entry" if n == 1 else f"1 or {n} entries"
+        raise ConfigError(f"{path}: expected {count} (one per network output), "
+                          f"got {value.size}")
     return value
 
 
@@ -107,8 +108,9 @@ def build_pipeline(cfg: ScenarioConfig) -> Pipeline:
     return Pipeline(cfg=cfg, plant=plant, net=net, workspace=workspace)
 
 
-def certification_problem(pipe: Pipeline):
-    """True map, network, grid box and Lipschitz data for the certificate.
+def _coordinate_problem(pipe: Pipeline):
+    """Coordinate-wise true map ``phi(x_1, ..., x_d)``, network, grid box,
+    Lipschitz data and cells for the certificate.
 
     The aircraft and UAV networks are certified on their own input spaces;
     the PMSM fixture's error is independent of v by construction, so its
@@ -118,12 +120,8 @@ def certification_problem(pipe: Pipeline):
     if cfg.plant == "aircraft":
         params = pipe.plant.extras["params"]
         gamma = aircraft_mod.aircraft_lipschitz(params)["gamma_phi"]
-
-        def true_map(pts):
-            return aircraft_mod.aircraft_phi(pts[:, 0], pts[:, 1], params)
-
-        return true_map, pipe.net, box_bounds(pipe.plant.net_workspace), \
-            np.array([gamma]), pipe.ensure_cells()
+        return partial(aircraft_mod.aircraft_phi, params=params), pipe.net, \
+            box_bounds(pipe.plant.net_workspace), np.array([gamma]), pipe.ensure_cells()
     if cfg.plant == "uav":
         return uav_mod.speed_map, pipe.net, box_bounds(pipe.plant.net_workspace), \
             np.array([1.0]), pipe.ensure_cells()
@@ -133,23 +131,28 @@ def certification_problem(pipe: Pipeline):
         lo = np.array(params.z_lower)
         hi = np.array(params.z_upper)
         sub_cells = enumerate_cells(sub, HPolytope.box(lo, hi))
-
-        def true_map(pts):
-            return pmsm_mod.pmsm_state_part(pts, params)
-
-        return true_map, sub, (lo, hi), pmsm_mod.state_part_lipschitz(params), \
-            sub_cells
+        return partial(pmsm_mod.pmsm_state_part, params=params), sub, (lo, hi), \
+            pmsm_mod.state_part_lipschitz(params), sub_cells
     raise ValueError(cfg.plant)
 
 
+def certification_problem(pipe: Pipeline):
+    """``_coordinate_problem`` with the true map taking an (N, d) point batch,
+    as off-grid samples come."""
+    phi, *rest = _coordinate_problem(pipe)
+    return (lambda pts: phi(*pts.T), *rest)
+
+
 def run_certification(pipe: Pipeline, threads: int = 1):
-    true_map, net, (lo, hi), gamma, cells = certification_problem(pipe)
+    phi, net, (lo, hi), gamma, cells = _coordinate_problem(pipe)
     deltas = pipe.cfg.grid_deltas
     if deltas is None:
         deltas = (hi - lo) / 300.0
+    elif deltas.size not in (1, lo.size):
+        raise ConfigError(f"grid.deltas: expected 1 or {lo.size} entries (one per "
+                          f"certified input), got {deltas.size}")
     grid = GridSpec(deltas=np.broadcast_to(deltas, lo.shape), lower=lo, upper=hi)
-    return grid_error_certificate(true_map, cells, net, grid, gamma,
-                                  threads=threads)
+    return grid_error_certificate(phi, cells, net, grid, gamma, threads=threads)
 
 
 def run_taylor_table(pipe: Pipeline):
@@ -270,9 +273,13 @@ def build_controller(pipe: Pipeline):
             at = [ref_at(k + i) for i in range(cfg.N_p)]
             return np.array([z for z, _ in at]), np.array([v for _, v in at])
 
+        # each index's cell is located once, the first time a window reads it
+        @lru_cache(maxsize=2 * cfg.N_p)
+        def ref_cell(i):
+            return locate_cell(U, np.concatenate(ref_at(i)) @ plant.input_map.T)
+
         def ref_cells(k):
-            zeta = np.array([np.concatenate(ref_at(k + i)) for i in range(cfg.N_p)])
-            return locate_cell(U, zeta @ plant.input_map.T).tolist()
+            return [ref_cell(k + i) for i in range(cfg.N_p)]
     elif cfg.plant == "pmsm" and cfg.reference.get("type", "equilibrium") \
             == "equilibrium":
         z_eq = plant.equilibrium_z

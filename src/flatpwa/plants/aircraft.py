@@ -64,7 +64,7 @@ def _input(params: AircraftParams, z1, v, c):
 
 
 def aircraft_phi(z1, v, params: AircraftParams = AircraftParams()):
-    """Linearizing input u(z1, v) in 1e5 N units, on arrays of points."""
+    """Linearizing input u(z1, v) in 1e5 N units; coordinates broadcast."""
     c = np.cos(z1)
     if np.any(c <= 1e-6):
         raise ValueError(_COS_RANGE)

@@ -76,14 +76,12 @@ def pmsm_phi(z, v, params: PmsmParams = PmsmParams()):
     return (u1, u2)
 
 
-def pmsm_state_part(pts, params: PmsmParams = PmsmParams()):
-    """Phi at v = 0 on a batch of z points: the part the network must learn."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    u1 = (params.R / params.L) * pts[:, 0] \
-        - (params.L / (params.J_m * params.Y)) * pts[:, 1] * pts[:, 2]
-    u2 = pts[:, 1] * (params.Y + pts[:, 0]) / params.J_m \
-        + (params.R / params.Y) * pts[:, 2]
-    return np.column_stack([u1, u2])
+def pmsm_state_part(z1, z2, z3, params: PmsmParams = PmsmParams()):
+    """Phi at v = 0, the part the network must learn; coordinates broadcast,
+    the two outputs along a new last axis."""
+    u1 = (params.R / params.L) * z1 - (params.L / (params.J_m * params.Y)) * z2 * z3
+    u2 = z2 * (params.Y + z1) / params.J_m + (params.R / params.Y) * z3
+    return np.stack([u1, u2], axis=-1)
 
 
 def state_part_lipschitz(params: PmsmParams = PmsmParams()):

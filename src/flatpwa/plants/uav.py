@@ -59,10 +59,9 @@ def uav_phi(z, v, params: UavParams = UavParams()):
     return (speed, u2)
 
 
-def speed_map(pts):
-    """True Phi1 on the network input (z2, z4); batch friendly."""
-    pts = np.atleast_2d(np.asarray(pts, dtype=float))
-    return np.hypot(pts[:, 0], pts[:, 1])
+def speed_map(z2, z4):
+    """True Phi1 on the network input (z2, z4); coordinates broadcast."""
+    return np.hypot(z2, z4)
 
 
 def accel_polygon(params: UavParams = UavParams(), num_sides: int = 16) -> HPolytope:

@@ -132,6 +132,7 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
     ("certify", "aircraft_mpc", {"grid.deltas": [0.01, 0.05],
                                  "grid.taylor_u_max": [4.0, 4.0]}, [],
      "grid.taylor_u_max"),
+    ("certify", "aircraft_mpc", {"grid.deltas": [0.01, 0.01, 0.01]}, [], "grid.deltas"),
 ], ids=["clf-P-missing", "clf-gamma-missing", "clf-K-missing", "clf-P-shape",
         "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "clf-P-zero",
         "clf-P-indefinite", "mpc-Q-shape", "mpc-Q-asymmetric", "mpc-R-shape",
@@ -139,7 +140,8 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
         "budget-ms-nan", "threads-zero", "threads-negative", "substep-not-dividing",
         "substep-above-period", "period-not-divided", "duration-fractional",
         "duration-below-period", "u-max-longer-than-outputs",
-        "u-min-longer-than-outputs", "uav-u-max-per-input", "taylor-u-max-length"])
+        "u-min-longer-than-outputs", "uav-u-max-per-input", "taylor-u-max-length",
+        "grid-deltas-length"])
 def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
                                                     scenario, edits, flags,
                                                     field):
@@ -147,6 +149,14 @@ def test_tuning_checked_against_the_plant_exit_code(tmp_path, capsys, command,
     assert run([command, "--config", cfg, "--out", tmp_path, *flags]) == 4
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
+
+
+def test_one_output_length_error_asks_for_one_entry(tmp_path, capsys):
+    # the aircraft network has one output: its u_max takes a single entry
+    cfg = _edited(tmp_path, "aircraft_mpc", {"tightening.u_max": [5.0, 5.0]})
+    assert run(["simulate", "--config", cfg, "--out", tmp_path]) == 4
+    assert ("tightening.u_max: expected 1 entry (one per network output), got 2"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("T_s, substep, duration", [

@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -67,19 +68,37 @@ def test_compare_traces_checks_set_up_reports(tmp_path):
     assert code == 1 and f"s1: bigm.json missing in {tmp_path / 'e' / 's1'}" in out
 
 
+def test_compare_traces_checks_the_certificate_field_by_field(tmp_path):
+    def certificate(**grid):
+        fields = {"eps_tilde": [0.18], "eps_bar": [0.2], "wall_time_s": 0.13, **grid}
+        return {"certificate.json": json.dumps({"plant": "aircraft",
+                                                "grid_certificate": fields})}
+
+    a = _tree(tmp_path / "a", {"s1": BASE}, {"s1": certificate()})
+    # only the wall clock moved: equal, though the bytes differ
+    code, out = _compare(a, _tree(tmp_path / "b", {"s1": BASE},
+                                  {"s1": certificate(wall_time_s=0.99)}))
+    assert code == 0 and out == "s1: bit-identical\n"
+    # one ulp of eps_tilde is a moved field, named by its path
+    moved = certificate(eps_tilde=[0.18000000000000002], wall_time_s=0.99)
+    code, out = _compare(a, _tree(tmp_path / "c", {"s1": BASE}, {"s1": moved}))
+    assert code == 1
+    assert out == "s1: certificate.json differs in grid_certificate.eps_tilde\n"
+
+
 WRITER = TOOL.parent / "write_traces.py"
 
 
 def test_write_traces_feeds_compare_traces(tmp_path):
-    # two runs of one short scenario: the tree compare_traces reads (trace
-    # and set-up reports), and bit-identical on one thread
+    # two runs of one short scenario: the tree compare_traces reads (trace,
+    # set-up reports and certificate), and bit-identical on one thread
     for side in ("a", "b"):
         out = subprocess.run([sys.executable, str(WRITER), str(tmp_path / side),
                               "aircraft_flmpc"], capture_output=True, text=True)
         assert out.returncode == 0, out.stderr
     assert sorted(p.name for p in (tmp_path / "a").iterdir()) == ["aircraft_flmpc"]
     assert sorted(p.name for p in (tmp_path / "a" / "aircraft_flmpc").iterdir()) == [
-        "bigm.json", "cells.json", "summary.json", "trace.csv"]
+        "bigm.json", "cells.json", "certificate.json", "summary.json", "trace.csv"]
     code, out = _compare(tmp_path / "a", tmp_path / "b")
     assert code == 0 and out == "aircraft_flmpc: bit-identical\n"
     missing = subprocess.run([sys.executable, str(WRITER), str(tmp_path / "c"),

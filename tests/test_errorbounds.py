@@ -1,28 +1,33 @@
 import re
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from flatpwa import errorbounds
+from flatpwa import errorbounds, pipeline
+from flatpwa.config import load_scenario
 from flatpwa.errorbounds import (GridBudgetExceeded, GridSpec,
                                  grid_error_certificate, taylor_cell_bounds)
 from flatpwa.miencoding import build_admissible_union
+from flatpwa.pipeline import build_pipeline, run_certification
+from flatpwa.plants import aircraft
 from flatpwa.plants.aircraft import (AircraftParams, aircraft_lipschitz,
                                      aircraft_phi, aircraft_phi_grad)
-from flatpwa.polytope import HPolytope
+from flatpwa.polytope import HPolytope, box_bounds
 from flatpwa.relupwa import (ReluNetwork, enumerate_cells, forward, pwa_eval_batch,
                              pwa_lipschitz)
 
 PARAMS = AircraftParams()
+SCENARIOS = Path(__file__).parents[1] / "src" / "flatpwa" / "data" / "scenarios"
 
 
 def aircraft_grid(delta=0.9e-3):
     return GridSpec.symmetric([delta, delta], [PARAMS.phi_bar, PARAMS.v_bar])
 
 
-def aircraft_true(pts):
-    return aircraft_phi(pts[:, 0], pts[:, 1], PARAMS)
+def aircraft_true(z1, v):
+    return aircraft_phi(z1, v, PARAMS)
 
 
 def test_rho_bar_formula():
@@ -54,8 +59,10 @@ def test_self_approximation_certificate(aircraft_net, aircraft_cells):
     # feeding the PWA its own values: zero grid error, padding-only bound
     g = GridSpec.symmetric([0.02, 0.2], [PARAMS.phi_bar, PARAMS.v_bar])
 
-    def self_map(pts):
-        return pwa_eval_batch(aircraft_net, pts)[:, 0]
+    def self_map(z1, v):
+        pts = np.stack(np.broadcast_arrays(z1, v), axis=-1)
+        out = pwa_eval_batch(aircraft_net, pts.reshape(-1, 2))[:, 0]
+        return out.reshape(pts.shape[:-1])
 
     gamma_nn = pwa_lipschitz(aircraft_cells)
     cert = grid_error_certificate(self_map, aircraft_cells, aircraft_net, g,
@@ -105,7 +112,7 @@ def test_certificate_argmax_owns_its_data(aircraft_net, aircraft_cells):
                                   g, 30.0, chunk_rows=100)
     assert cert.argmax.base is None and cert.argmax.shape == (2,)
     nn = pwa_eval_batch(aircraft_net, cert.argmax[None, :])
-    err = abs(aircraft_true(cert.argmax[None, :])[0] - nn[0, 0])
+    err = abs(aircraft_true(*cert.argmax) - nn[0, 0])
     assert err == pytest.approx(cert.eps_tilde[0], rel=1e-12)
 
 
@@ -128,13 +135,13 @@ def test_certificate_threads_hold_at_most_threads_chunks(monkeypatch, aircraft_n
     evaluated, held = [], []
 
     def counted_chunks(grid, chunk_rows):
-        for k, pts in enumerate(grid_chunks(grid, chunk_rows)):
+        for k, mesh in enumerate(grid_chunks(grid, chunk_rows)):
             held.append(k + 1 - len(evaluated))
-            yield pts
+            yield mesh
 
-    def slow_true(pts):
+    def slow_true(z1, v):
         time.sleep(0.002)
-        out = aircraft_true(pts)
+        out = aircraft_true(z1, v)
         evaluated.append(1)
         return out
 
@@ -161,9 +168,9 @@ def _random_problem(dim, seed, n1=6):
     cells = enumerate_cells(net, HPolytope.box(lower, upper))
     A = rng.standard_normal((dim, n_out))
 
-    def true_map(pts):
-        out = np.sin(pts @ A) + pts[:, :1] ** 2
-        return out[:, 0] if n_out == 1 else out
+    def true_map(*x):
+        out = np.sin(sum(xi[..., None] * a for xi, a in zip(x, A))) + x[0][..., None] ** 2
+        return out[..., 0] if n_out == 1 else out
 
     return net, cells, grid, true_map
 
@@ -184,21 +191,54 @@ def test_certificate_matches_brute_force_forward(dim, slabs_per_chunk, threads):
                                   threads=threads, chunk_rows=chunk_rows)
 
     pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
-    err = np.abs(true_map(pts).reshape(len(pts), -1) - forward(net, pts))
+    err = np.abs(true_map(*pts.T).reshape(len(pts), -1) - forward(net, pts))
     assert cert.grid_points == len(pts) > 100
     np.testing.assert_allclose(cert.eps_tilde, err.max(axis=0), rtol=1e-12, atol=0)
     np.testing.assert_array_equal(cert.argmax, pts[np.argmax(err.max(axis=1))])
 
 
+def test_aircraft_certificate_maps_each_z1_once(monkeypatch):
+    # the true map runs on the grid's open mesh, so lift's cube and the
+    # cosine see each z1 of the grid once, not once per grid point
+    pipe = build_pipeline(load_scenario(SCENARIOS / "aircraft_mpc.yaml"))
+    z1_values = []
+    phi = aircraft.aircraft_phi
+
+    def counted_phi(z1, v, params):
+        z1_values.append(np.size(z1))
+        return phi(z1, v, params)
+
+    monkeypatch.setattr(aircraft, "aircraft_phi", counted_phi)
+    cert = run_certification(pipe)
+    grid = GridSpec(pipe.cfg.grid_deltas, *box_bounds(pipe.workspace))
+    assert cert.grid_points == grid.num_points
+    assert sum(z1_values) == grid.shape[0] < grid.num_points
+
+
+@pytest.mark.parametrize("scenario", ["aircraft_mpc", "pmsm_case1", "uav_tracking"])
+def test_true_maps_agree_on_the_open_mesh_and_on_points(scenario):
+    # each plant's certified map is coordinate-wise: on the open mesh it
+    # gives the bits it gives on the same points as an (N, d) batch
+    pipe = build_pipeline(load_scenario(SCENARIOS / f"{scenario}.yaml"))
+    phi, _, (lo, hi), _, _ = pipeline._coordinate_problem(pipe)
+    mesh = errorbounds._grid_mesh(GridSpec((hi - lo) / 13.0, lo, hi))
+    pts = np.stack(np.broadcast_arrays(*mesh), axis=-1).reshape(-1, lo.size)
+    on_mesh, on_points = np.asarray(phi(*mesh)), np.asarray(phi(*pts.T))
+    assert on_mesh.shape[:lo.size] == tuple(a.size for a in mesh)
+    assert on_mesh.size == on_points.size > 100
+    assert on_mesh.tobytes() == on_points.tobytes()
+
+
 @pytest.mark.parametrize("shape", ["transposed", "three-outputs"])
 def test_certificate_rejects_a_misshapen_true_map(shape):
-    # an (n_out, N) map once fell through to reshape(N, n_out), scrambling it
+    # an (n_out, N) map once fell through to reshape(N, n_out), scrambling it;
+    # on the mesh, the transposed result is (n_out,) + the reversed mesh shape
     net, cells, grid, true_map = _random_problem(2, seed=12)
-    n = grid.num_points
+    n, mesh = grid.num_points, grid.shape
     if shape == "transposed":
-        phi, expect = (lambda pts: true_map(pts).T), (2, n)
+        phi, expect = (lambda *x: true_map(*x).T), (2, *mesh[::-1])
     else:
-        phi, expect = (lambda pts: np.ones((len(pts), 3))), (n, 3)
+        phi, expect = (lambda *x: np.ones(mesh + (3,))), (*mesh, 3)
     with pytest.raises(ValueError, match=re.escape(f"shape {expect}")):
         grid_error_certificate(phi, cells, net, grid, 1.0, chunk_rows=n)
 
@@ -270,6 +310,6 @@ def test_taylor_bounds_dominate_true_error(aircraft_net, aircraft_cells):
     for cell, bound in zip(union.pieces, table):
         V = vertices(cell.polytope)
         pts = np.vstack([V.points, V.points.mean(axis=0)])
-        true_err = np.abs(aircraft_true(pts)
+        true_err = np.abs(aircraft_true(*pts.T)
                           - (pts @ cell.F[0] + cell.f[0])).max()
         assert true_err <= bound.total + 1e-9

@@ -6,12 +6,14 @@ Each scenario is a subdirectory holding a ``trace.csv``, as written by
 ``flatpwa simulate --config <scenario>.yaml --out DIR/<scenario>`` (pass
 ``--budget-ms 1e9`` so that no solve stops on the clock), and optionally the
 set-up reports ``cells.json`` and ``bigm.json`` of ``flatpwa enumerate`` and
-``flatpwa bigm`` (``tools/write_traces.py`` writes all three). For every
-scenario it prints "bit-identical", or the largest |difference| of each
-column that moved, the steps whose ``cell_index`` differs and each report
-that differs byte for byte or exists in one tree only. The wall-clock
-``solver_ms`` column and ``summary.json`` (which holds wall-clock values)
-are not compared.
+``flatpwa bigm`` and the ``certificate.json`` of ``flatpwa certify``
+(``tools/write_traces.py`` writes all four). For every scenario it prints
+"bit-identical", or the largest |difference| of each column that moved, the
+steps whose ``cell_index`` differs, each set-up report that differs byte for
+byte, the certificate fields whose values differ, and each report that
+exists in one tree only. The wall-clock ``solver_ms`` column, the
+certificate's ``wall_time_s`` and ``summary.json`` (which holds wall-clock
+values) are not compared.
 
 Exit status: 0 when every ``cell_index`` column and every report matches, 1
 when one differs or a scenario is missing, has other columns or another
@@ -22,11 +24,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import sys
 from pathlib import Path
 
 SKIPPED = {"solver_ms"}
-REPORTS = ("cells.json", "bigm.json")
+REPORTS = ("cells.json", "bigm.json", "certificate.json")
+CLOCK_FIELDS = {"wall_time_s"}
 
 
 def _read(path):
@@ -62,8 +66,25 @@ def compare(path_a, path_b):
     return lines, mismatch
 
 
+def _leaves(value, path=""):
+    """The leaves of a JSON report by dotted path (a list is one leaf), each
+    as its JSON text, so that -0.0 and 0.0 differ."""
+    if isinstance(value, dict):
+        return {k: v for key, sub in value.items()
+                for k, v in _leaves(sub, f"{path}{key}.").items()}
+    return {path[:-1]: json.dumps(value)}
+
+
+def _moved_fields(path_a, path_b):
+    """The fields of two JSON reports that differ, but for the wall clock's."""
+    a, b = (_leaves(json.loads(p.read_text())) for p in (path_a, path_b))
+    return sorted(k for k in a.keys() | b.keys()
+                  if k.rsplit(".", 1)[-1] not in CLOCK_FIELDS and a.get(k) != b.get(k))
+
+
 def compare_reports(dir_a, dir_b):
-    """One line per report that differs or exists in one tree only."""
+    """One line per report that differs or exists in one tree only: the
+    certificate field by field, the others byte for byte."""
     lines = []
     for report in REPORTS:
         paths = [d / report for d in (dir_a, dir_b)]
@@ -72,6 +93,10 @@ def compare_reports(dir_a, dir_b):
             continue
         if not all(present):
             lines.append(f"{report} missing in {paths[present.index(False)].parent}")
+        elif report == "certificate.json":
+            fields = _moved_fields(*paths)
+            if fields:
+                lines.append(f"{report} differs in {', '.join(fields)}")
         elif paths[0].read_bytes() != paths[1].read_bytes():
             lines.append(f"{report} differs")
     return lines

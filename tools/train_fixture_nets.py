@@ -131,7 +131,7 @@ def train_pmsm(seed, n1=5, iters=9000):
     lo = np.array(params.z_lower)
     hi = np.array(params.z_upper)
     X = rng.uniform(lo, hi, size=(10000, 3))
-    y = pmsm_state_part(X, params)
+    y = pmsm_state_part(*X.T, params)
     w = np.ones(X.shape[0])
     sub = adam_fit(X, y, w, n1, rng, iters, n_out=2)
     return assemble_pmsm(ReluNetwork(W1=sub[0], b1=sub[1], W2=sub[2], b2=sub[3]),

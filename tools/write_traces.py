@@ -1,4 +1,4 @@
-"""Write the closed-loop trace and set-up reports of every shipped scenario.
+"""Write the closed-loop trace, set-up reports and certificate of every shipped scenario.
 
     python tools/write_traces.py OUT_DIR [SCENARIO ...] [--src DIR]
 
@@ -7,11 +7,13 @@ For each scenario (all shipped ones by default) it runs
     flatpwa simulate --config <scenario>.yaml --out OUT_DIR/<scenario> --budget-ms 1e9
     flatpwa enumerate --config <scenario>.yaml --out OUT_DIR/<scenario>
     flatpwa bigm --config <scenario>.yaml --out OUT_DIR/<scenario>
+    flatpwa certify --config <scenario>.yaml --out OUT_DIR/<scenario>
 
 each in its own process with BLAS pinned to one thread, so that no solve
 stops on the clock and the thread count does not change the rounding. The
-resulting tree (``trace.csv``, ``summary.json``, ``cells.json`` and
-``bigm.json`` per scenario) is what ``tools/compare_traces.py`` compares. ``--src`` runs
+resulting tree (``trace.csv``, ``summary.json``, ``cells.json``,
+``bigm.json`` and ``certificate.json`` per scenario) is what
+``tools/compare_traces.py`` compares. ``--src`` runs
 the ``flatpwa`` package under DIR, such as another checkout's ``src``,
 instead of the one next to this tool.
 
@@ -28,7 +30,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-COMMANDS = (("simulate", "--budget-ms", "1e9"), ("enumerate",), ("bigm",))
+COMMANDS = (("simulate", "--budget-ms", "1e9"), ("enumerate",), ("bigm",),
+            ("certify",))
 
 
 def main(argv=None) -> int:
