@@ -5,7 +5,7 @@ feedback-linearized differentially flat systems."""
 from .tolerances import DEFAULT, Tolerances
 from .numkernel import QpProblem, QpResult, solve_qp, eig_sym
 from .polytope import (HPolytope, VertexSet, box_bounds, intersect, is_empty,
-                       max_row_violation, row_violations, vertices)
+                       row_violations, vertices)
 from .relupwa import (AffinePiece, PwaDecomposition, ReluNetwork, enumerate_cells,
                       forward, piece_for_pattern, pwa_lipschitz)
 from .errorbounds import (ErrorCertificate, GridSpec, TaylorCellBound,

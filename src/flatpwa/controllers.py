@@ -27,7 +27,7 @@ from .miqpsolver import MiqpResult, SolveBudget, solve_miqp
 from .numkernel import ITERATION_LIMIT, OPTIMAL, QpMatrices, QpProblem, eig_sym, solve_qp
 from .polytope import HPolytope, StackedRows
 from .simulate import ControllerInfeasible
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 
 @dataclass
@@ -79,23 +79,23 @@ class MpcSpec:
                 raise ValueError(f"{name} must be symmetric")
 
 
-def verify_clf(spec: ClfSpec, A, B, tol: Tolerances = DEFAULT) -> dict:
+def verify_clf(spec: ClfSpec, A, B) -> dict:
     """Check P > 0 and Psi A' + A Psi - 2 B B' + gamma Psi <= 0, Psi = P^-1.
 
     A P that is not positive definite fails the check without the LMI
     being formed (``lmi_max_eig`` is None)."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
-    pd_eigs = eig_sym(spec.P, tol)
+    pd_eigs = eig_sym(spec.P)
     if pd_eigs[0] <= 0.0:
         return {"pd_min_eig": float(pd_eigs[0]), "lmi_max_eig": None, "pass": False}
     Psi = np.linalg.inv(spec.P)
     lmi = Psi @ A.T + A @ Psi - 2.0 * B @ B.T + spec.gamma * Psi
-    lmi_eigs = eig_sym(0.5 * (lmi + lmi.T), tol)
+    lmi_eigs = eig_sym(0.5 * (lmi + lmi.T))
     return {
         "pd_min_eig": float(pd_eigs[0]),
         "lmi_max_eig": float(lmi_eigs[-1]),
-        "pass": bool(lmi_eigs[-1] <= tol.psd),
+        "pass": bool(lmi_eigs[-1] <= DEFAULT.psd),
     }
 
 
@@ -106,7 +106,7 @@ class ClfStepResult:
     cell: int
 
 
-def _best_cell(order, cell_problem, tol: Tolerances):
+def _best_cell(order, cell_problem):
     """One QP per admissible cell, tried in ``order``; returns (QpResult,
     cell) of the lowest objective, ties going to the earlier cell, or None
     when every cell is infeasible. FL-MPC's first step and the CLF step with
@@ -115,19 +115,19 @@ def _best_cell(order, cell_problem, tol: Tolerances):
 
     Over one instant the union's disjunction is exactly "solve each member,
     keep the best". The costs here are sums of squares, so the loop stops at
-    the first objective <= ``tol.miqp_gap``: no cell beats it by more than
+    the first objective <= ``DEFAULT.miqp_gap``: no cell beats it by more than
     the absolute gap branch and bound certifies. ``solve_qp`` and
     ``QpProblem`` are looked up as module globals at call time, so that a
     rebinding of either reaches this loop.
     """
     best = None
     for j in order:
-        res = solve_qp(cell_problem(j), tol=tol)
+        res = solve_qp(cell_problem(j))
         if res.status == ITERATION_LIMIT:
             raise ControllerInfeasible("a cell QP hit its iteration cap")
         if res.status == OPTIMAL and (best is None or res.objective < best[0].objective):
             best = (res, j)
-            if res.objective <= tol.miqp_gap:
+            if res.objective <= DEFAULT.miqp_gap:
                 break
     return best
 
@@ -135,8 +135,8 @@ def _best_cell(order, cell_problem, tol: Tolerances):
 @dataclass(frozen=True)
 class ClfStructure:
     """Everything of the CLF step that no sample changes, built once per
-    controller by ``clf_structure``: the spec, the linear dynamics (A, B),
-    the tolerances and what the union and the input map give.
+    controller by ``clf_structure``: the spec, the linear dynamics (A, B)
+    and what the union and the input map give.
 
     ``rows`` is the union's stacked rows, whose layout (``starts``,
     ``slices``, ``owner``) says which row belongs to which cell. Lifted
@@ -149,7 +149,6 @@ class ClfStructure:
     spec: ClfSpec
     A: np.ndarray
     B: np.ndarray
-    tol: Tolerances
     rows: StackedRows
     A_z: np.ndarray
     G: np.ndarray
@@ -158,17 +157,17 @@ class ClfStructure:
     cost: QpMatrices | None = None
 
 
-def clf_structure(spec: ClfSpec, U: AdmissibleUnion, A, B, input_map=None,
-                  tol: Tolerances = DEFAULT) -> ClfStructure:
+def clf_structure(spec: ClfSpec, U: AdmissibleUnion, A, B,
+                  input_map=None) -> ClfStructure:
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     n_z, m = B.shape
     lifted = lift_rows(U, input_map, n_z + m)
     G = lifted[:, n_z:]
-    parts = dict(spec=spec, A=A, B=B, tol=tol, rows=U.stacked,
+    parts = dict(spec=spec, A=A, B=B, rows=U.stacked,
                  A_z=np.ascontiguousarray(lifted[:, :n_z]), G=G)
     if m > 1:
-        return ClfStructure(**parts, cost=QpMatrices.of(2.0 * np.eye(m), tol=tol))
+        return ClfStructure(**parts, cost=QpMatrices.of(2.0 * np.eye(m)))
     return ClfStructure(**parts, upper=G[:, 0] > 0.0, lower=G[:, 0] < 0.0)
 
 
@@ -189,26 +188,26 @@ def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell):
     Each cell's program min (v - v_d)^2 s.t. G_j v <= h_j, a v <= r is the
     projection of v_d onto an interval [lo_j, hi_j]: a row with G_i > 0 is
     the upper bound h_i / G_i, one with G_i < 0 a lower bound. As the dual
-    kernel does, only the rows that v_d violates by more than ``tol.feas``,
-    the decrease row included, bound the interval (rows are not scaled, so a
-    small coefficient lets v_d pass its bound by up to tol.feas / |G_i|),
-    and a cell is feasible when its projection violates none of its rows by
-    more than ``tol.feas`` (which also judges rows with G_i = 0). The cell
-    is chosen as ``_best_cell`` chooses: ``first_cell``, then index order,
-    the first objective <= ``tol.miqp_gap``, else the lowest, ties to the
-    earlier. Returns None when every cell is infeasible.
+    kernel does, only the rows that v_d violates by more than
+    ``DEFAULT.feas``, the decrease row included, bound the interval (rows
+    are not scaled, so a small coefficient lets v_d pass its bound by up to
+    DEFAULT.feas / |G_i|), and a cell is feasible when its projection
+    violates none of its rows by more than ``DEFAULT.feas`` (which also
+    judges rows with G_i = 0). The cell is chosen as ``_best_cell`` chooses:
+    ``first_cell``, then index order, the first objective <=
+    ``DEFAULT.miqp_gap``, else the lowest, ties to the earlier. Returns None
+    when every cell is infeasible.
     """
-    tol = s.tol
     rows = s.rows
     g = s.G[:, 0]
     v0 = float(vd[0])
     a0 = float(a[0])
-    push = g * v0 - h > tol.feas
+    push = g * v0 - h > DEFAULT.feas
     hi = np.divide(h, g, out=np.full_like(h, np.inf), where=push & s.upper)
     lo = np.divide(h, g, out=np.full_like(h, -np.inf), where=push & s.lower)
     hi = np.minimum.reduceat(hi, rows.starts)
     lo = np.maximum.reduceat(lo, rows.starts)
-    if a0 * v0 - r > tol.feas:
+    if a0 * v0 - r > DEFAULT.feas:
         if a0 > 0.0:
             hi = np.minimum(hi, r / a0)
         elif a0 < 0.0:
@@ -216,10 +215,10 @@ def _clf_intervals(s: ClfStructure, h, a, r, vd, first_cell):
     v = np.minimum(np.maximum(v0, lo), hi)
     worst = np.maximum(np.maximum.reduceat(g * v[rows.owner] - h, rows.starts),
                        a0 * v - r)
-    obj = np.where(worst <= tol.feas, (v - v0) ** 2, np.inf)
-    close = np.flatnonzero(obj <= tol.miqp_gap)
+    obj = np.where(worst <= DEFAULT.feas, (v - v0) ** 2, np.inf)
+    close = np.flatnonzero(obj <= DEFAULT.miqp_gap)
     j = int(close[0]) if close.size else int(np.argmin(obj))
-    if first_cell is not None and obj[first_cell] <= max(obj[j], tol.miqp_gap):
+    if first_cell is not None and obj[first_cell] <= max(obj[j], DEFAULT.miqp_gap):
         j = first_cell
     if not np.isfinite(obj[j]):
         return None
@@ -230,19 +229,18 @@ def _clf_cell_qps(s: ClfStructure, h, a, r, vd, first_cell):
     """The program as one QP per cell (``_best_cell``): that cell's rows
     plus the decrease row, with the cost record ``s.cost``. Returns None
     when every cell is infeasible."""
-    tol = s.tol
     g = -2.0 * vd
     c0 = float(vd @ vd)
 
     def cell_problem(j):
         cell = s.rows.slices[j]
-        return QpProblem(g=g, h=np.append(h[cell], r), c0=c0, tol=tol,
+        return QpProblem(g=g, h=np.append(h[cell], r), c0=c0,
                          matrices=s.cost.with_rows(np.vstack([s.G[cell], a])))
 
     order = list(range(len(s.rows.slices)))
     if first_cell is not None:
         order.insert(0, order.pop(first_cell))
-    best = _best_cell(order, cell_problem, tol)
+    best = _best_cell(order, cell_problem)
     if best is None:
         return None
     res, j = best
@@ -260,8 +258,8 @@ def clf_step(structure: ClfStructure, z,
     (``_clf_intervals``); for m > 1, one QP per cell (``_clf_cell_qps``).
     ``first_cell`` (the previous sample's cell) is tried first, then the
     others in index order. Raises ControllerInfeasible when no cell is
-    feasible. ``structure`` is ``clf_structure(spec, U, A, B, input_map,
-    tol)``, built once by a controller.
+    feasible. ``structure`` is ``clf_structure(spec, U, A, B, input_map)``,
+    built once by a controller.
     """
     z = np.asarray(z, dtype=float)
     solve = _clf_intervals if structure.cost is None else _clf_cell_qps
@@ -301,17 +299,15 @@ def mpc_structure(spec: MpcSpec, U: AdmissibleUnion | None,
 
 
 def mpc_step(spec: MpcSpec, structure: HorizonStructure, z0,
-             z_ref=None, v_ref=None, tol: Tolerances = DEFAULT,
-             initial_cells=None) -> MpcStepResult:
+             z_ref=None, v_ref=None, initial_cells=None) -> MpcStepResult:
     """One receding-horizon solve; returns the first input and the forecast.
 
     ``structure`` is ``mpc_structure(spec, U, big_m)``, built once by a
     controller; ``spec`` gives the solve budgets."""
     model = structure.instantiate(z0, z_ref, v_ref)
-    res = solve_miqp(model, budget=spec.budget, tol=tol,
-                     initial_cells=initial_cells)
+    res = solve_miqp(model, budget=spec.budget, initial_cells=initial_cells)
     if res.x is None and spec.fallback_budget is not None:
-        res = solve_miqp(model, budget=spec.fallback_budget, tol=tol)
+        res = solve_miqp(model, budget=spec.fallback_budget)
     if res.x is None:
         raise ControllerInfeasible("MPC program is infeasible")
     zs, vs = _split_forecast(model, res.x)
@@ -335,16 +331,14 @@ class FlmpcStructure:
     controller: the horizon structure without the union, and per cell the
     matrix record of its first-step program (the base H and E; the base
     rows plus that cell's rows on (z_0, v_0)) and the right-hand side of
-    those rows, all factored and solved with the tolerances ``tol``."""
+    those rows."""
 
     horizon: HorizonStructure
     cells: tuple
     rhs: tuple
-    tol: Tolerances
 
 
-def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
-                    tol: Tolerances = DEFAULT) -> FlmpcStructure:
+def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion) -> FlmpcStructure:
     horizon = mpc_structure(spec, None, None)
     t = horizon.template
     n_z, m = t.meta["n_z"], t.meta["m"]
@@ -354,11 +348,11 @@ def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion,
     rows = U.stacked
     lifted = np.zeros((rows.b.size, t.n_cont))
     lifted[:, zeta_cols] = lift_rows(U, spec.input_map, n_z + m)
-    base = QpMatrices.of(t.H, E=t.E, tol=tol)
+    base = QpMatrices.of(t.H, E=t.E)
     return FlmpcStructure(
         horizon=horizon,
         cells=tuple(base.with_rows(np.vstack([t.G, lifted[c]])) for c in rows.slices),
-        rhs=tuple(np.concatenate([t.h, rows.b[c]]) for c in rows.slices), tol=tol)
+        rhs=tuple(np.concatenate([t.h, rows.b[c]]) for c in rows.slices))
 
 
 def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None,
@@ -371,16 +365,15 @@ def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None,
     re-checked against the true map by the caller. Later forecast steps only
     carry the state rows, so their implied inputs may violate the true bound
     -- that is the point of the baseline. ``structure`` is
-    ``flmpc_structure(spec, U, tol)``, built once by a controller.
+    ``flmpc_structure(spec, U)``, built once by a controller.
     """
     base = structure.horizon.instantiate(z0, z_ref, v_ref)
-    tol = structure.tol
 
     def cell_problem(j):
         return QpProblem(g=base.g, h=structure.rhs[j], d=base.d, c0=base.c0,
-                         tol=tol, matrices=structure.cells[j])
+                         matrices=structure.cells[j])
 
-    best = _best_cell(range(len(structure.cells)), cell_problem, tol)
+    best = _best_cell(range(len(structure.cells)), cell_problem)
     if best is None:
         raise ControllerInfeasible("FL-MPC first-step program is infeasible")
     res, j = best
@@ -390,13 +383,12 @@ def flmpc_step(structure: FlmpcStructure, phi, z0, z_ref=None,
                            objective=res.objective, first_input_value=first_u)
 
 
-def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None,
-                        tol: Tolerances = DEFAULT):
+def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None):
     """Adapter for the closed-loop runner: (z, k) -> (v, solver_ms, info).
 
     Each sample tries the previous sample's cell first."""
     state = {"cell": None}
-    structure = clf_structure(spec, U, A, B, input_map, tol)
+    structure = clf_structure(spec, U, A, B, input_map)
 
     def controller(z, k):
         t0 = time.perf_counter()
@@ -408,8 +400,7 @@ def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None,
     return controller
 
 
-def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
-                        tol: Tolerances = DEFAULT, ref_cells=None):
+def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None, ref_cells=None):
     """MPC adapter; ``refs(k)`` returns (z_ref, v_ref) horizon blocks and
     ``ref_cells(k)`` an optional cell-sequence hint for the first solve."""
     last_cells = {"seq": None}
@@ -421,7 +412,7 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
         hint = ref_cells(k) if ref_cells is not None else last_cells["seq"]
-        out = mpc_step(spec, structure, z, z_ref=z_ref, v_ref=v_ref, tol=tol,
+        out = mpc_step(spec, structure, z, z_ref=z_ref, v_ref=v_ref,
                        initial_cells=hint)
         ms = (time.perf_counter() - t0) * 1e3
         seq = out.result.cell_sequence(out.model)
@@ -434,9 +425,8 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None,
     return controller
 
 
-def make_flmpc_controller(spec: MpcSpec, U, phi, refs=None,
-                          tol: Tolerances = DEFAULT):
-    structure = flmpc_structure(spec, U, tol)
+def make_flmpc_controller(spec: MpcSpec, U, phi, refs=None):
+    structure = flmpc_structure(spec, U)
 
     def controller(z, k):
         z_ref = v_ref = None

@@ -32,7 +32,6 @@ import numpy as np
 from .polytope import vertices
 from .relupwa import PwaDecomposition, pwa_lipschitz
 from .relupwa import pwa_eval_batch  # noqa: F401  (bench/tracer.py rebinds it here)
-from .tolerances import DEFAULT, Tolerances
 
 GRID_POINT_BUDGET = 50_000_000
 
@@ -245,8 +244,7 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
                             wall_time_s=wall, argmax=arg)
 
 
-def taylor_cell_bounds(phi, phi_grad, pieces, C_zeta,
-                       tol: Tolerances = DEFAULT) -> list:
+def taylor_cell_bounds(phi, phi_grad, pieces, C_zeta) -> list:
     """Per-cell Taylor + vertex bounds for a scalar-output surrogate.
 
     Each entry of ``pieces`` must expose ``polytope`` / ``F`` / ``f`` (both
@@ -257,7 +255,7 @@ def taylor_cell_bounds(phi, phi_grad, pieces, C_zeta,
     """
     out = []
     for p in pieces:
-        V = vertices(p.polytope, tol)
+        V = vertices(p.polytope)
         if len(V) == 0:
             raise ValueError("cell has no vertices (empty or degenerate)")
         center = V.points.mean(axis=0)

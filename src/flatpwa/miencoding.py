@@ -19,7 +19,6 @@ import numpy as np
 from .numkernel import RecordStore
 from .polytope import HPolytope, intersect, is_empty, row_violations
 from .relupwa import PwaDecomposition
-from .tolerances import DEFAULT, Tolerances
 
 
 @dataclass
@@ -33,8 +32,8 @@ class AdmissibleUnion(PwaDecomposition):
     eps: np.ndarray
 
 
-def build_admissible_union(d: PwaDecomposition, u_max, eps, u_min=None,
-                           tol: Tolerances = DEFAULT) -> AdmissibleUnion:
+def build_admissible_union(d: PwaDecomposition, u_max, eps,
+                           u_min=None) -> AdmissibleUnion:
     """Append tightened output bounds to every cell and drop the emptied ones.
 
     Symmetric bounds |F zeta + f| <= u_max - eps by default; pass ``u_min``
@@ -61,7 +60,7 @@ def build_admissible_union(d: PwaDecomposition, u_max, eps, u_min=None,
         if np.any(rhs[zero] < 0):
             continue  # constant output regime outside the tightened range
         cell = intersect(p.polytope, HPolytope(rows, rhs))
-        if is_empty(cell, tol):
+        if is_empty(cell):
             continue
         pieces.append(replace(p, polytope=cell))
     if not pieces:

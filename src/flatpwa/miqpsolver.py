@@ -21,7 +21,7 @@ import numpy as np
 from .miencoding import MiqpModel
 from .numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpMatrices, QpProblem,
                         solve_qp)
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 BUDGET_EXCEEDED = "budget_exceeded"
 ORACLE_GUARD = 1_000_000
@@ -102,7 +102,7 @@ def _assemble(model: MiqpModel, fix, x_node):
     return full
 
 
-def _node_matrices(model: MiqpModel, is_free, tol: Tolerances):
+def _node_matrices(model: MiqpModel, is_free):
     """(record, live equality rows) of the node QPs whose free binaries are
     ``is_free``: they depend on nothing else, so the structure's store
     builds them the first time that set occurs."""
@@ -121,12 +121,12 @@ def _node_matrices(model: MiqpModel, is_free, tol: Tolerances):
         else:
             live = ~blocks.e_const
             E, G, H = blocks.Ec_live, blocks.Gc, model.H[:nc, :nc]
-        return QpMatrices.of(H, G, E if E.shape[0] else None, tol), live
+        return QpMatrices.of(H, G, E if E.shape[0] else None), live
 
-    return blocks.records.get((is_free.tobytes(), tol), build)
+    return blocks.records.get(is_free.tobytes(), build)
 
 
-def _node_problem(model: MiqpModel, fix, tol: Tolerances):
+def _node_problem(model: MiqpModel, fix):
     """QP over [x; free binaries] with fixed binaries substituted out.
 
     Its matrices come from ``_node_matrices``, so with every binary fixed G
@@ -145,22 +145,22 @@ def _node_problem(model: MiqpModel, fix, tol: Tolerances):
     h[blocks.bin_row[moved]] -= blocks.bin_coef[moved] * value[blocks.bin_col[moved]]
     const = blocks.g_const.copy()
     const[blocks.bin_row[row_free]] = False
-    if (h[const] < -tol.feas).any():
+    if (h[const] < -DEFAULT.feas).any():
         return None
     h[const] = np.maximum(h[const], 0.0)
 
-    mats, live = _node_matrices(model, is_free, tol)
+    mats, live = _node_matrices(model, is_free)
     d = model.d - blocks.Eb @ value
-    if (np.abs(d[~live]) > tol.feas).any():
+    if (np.abs(d[~live]) > DEFAULT.feas).any():
         return None
     g = np.concatenate([model.g[:model.n_cont], np.zeros(mats.n - model.n_cont)])
     return QpProblem(g=g, h=h, d=None if mats.E is None else d[live],
-                     c0=model.c0, tol=tol, matrices=mats)
+                     c0=model.c0, matrices=mats)
 
 
 def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
-               tol: Tolerances = DEFAULT, initial_cells=None) -> MiqpResult:
-    """Best-first branch and bound to an absolute gap of ``tol.miqp_gap``.
+               initial_cells=None) -> MiqpResult:
+    """Best-first branch and bound to an absolute gap of ``DEFAULT.miqp_gap``.
 
     Every node is solved once, when it is created. A node with a free
     binary goes on the heap; a leaf is offered as the incumbent. The cell
@@ -181,7 +181,7 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
     counter = itertools.count()
     heap = []
 
-    def push(fix, warm=None, warm_set=None, leaf_gap=tol.miqp_gap):
+    def push(fix, warm=None, warm_set=None, leaf_gap=DEFAULT.miqp_gap):
         """Solve the node ``fix``; queue it while a binary is free, else take
         it as the incumbent when it is lower by more than ``leaf_gap``.
         Returns the node's objective, or None when it is infeasible."""
@@ -189,17 +189,17 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
         fix = _implied(groups, fix)
         if fix is None:
             return None
-        prob = _node_problem(model, fix, tol)
+        prob = _node_problem(model, fix)
         if prob is None:
             return None
         res = solve_qp(prob, x0=None if warm is None else warm[_kept(model, fix)],
-                       active_set=warm_set, tol=tol)
+                       active_set=warm_set)
         stalled = stalled or res.status == ITERATION_LIMIT
         if res.status != OPTIMAL:
             return None
         full = _assemble(model, fix, res.x)
         if np.isnan(fix).any():
-            if res.objective < incumbent_obj - tol.miqp_gap:
+            if res.objective < incumbent_obj - DEFAULT.miqp_gap:
                 heapq.heappush(heap, (res.objective, next(counter), fix, full,
                                       res.active_set))
         elif res.objective < incumbent_obj - leaf_gap:
@@ -224,17 +224,17 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
             status = BUDGET_EXCEEDED
             break
         bound, _, fix, xfull, aset = heapq.heappop(heap)
-        if bound >= incumbent_obj - tol.miqp_gap:
+        if bound >= incumbent_obj - DEFAULT.miqp_gap:
             continue
         nodes += 1
         beta = xfull[model.n_cont:]
         rounded = np.round(beta)
         free = np.isnan(fix)
         frac = np.where(free, np.abs(beta - rounded), 0.0)
-        if frac.max() <= tol.binary_integrality:
+        if frac.max() <= DEFAULT.binary_integrality:
             leaf_obj = push(np.where(free, rounded, fix), warm=xfull, leaf_gap=0.0)
             if stalled or frac.max() == 0.0 or (
-                    leaf_obj is not None and leaf_obj <= bound + tol.miqp_gap):
+                    leaf_obj is not None and leaf_obj <= bound + DEFAULT.miqp_gap):
                 continue
             # the rounded leaf is infeasible, or worse than the node bound,
             # although the relaxation was within the integrality tolerance:
@@ -263,7 +263,7 @@ def solve_miqp(model: MiqpModel, budget: SolveBudget | None = None,
                       gap=max(0.0, incumbent_obj - best_open))
 
 
-def solve_by_cell_enumeration(model: MiqpModel, tol: Tolerances = DEFAULT,
+def solve_by_cell_enumeration(model: MiqpModel,
                               guard: int = ORACLE_GUARD) -> MiqpResult:
     """Exact optimum by enumerating one cell per step and solving each QP."""
     t0 = time.perf_counter()
@@ -276,10 +276,10 @@ def solve_by_cell_enumeration(model: MiqpModel, tol: Tolerances = DEFAULT,
     solved = 0
     for cells in itertools.product(*map(range, sizes)):
         fix = _cell_leaf(model, cells)
-        prob = _node_problem(model, fix, tol)
+        prob = _node_problem(model, fix)
         if prob is None:
             continue
-        res = solve_qp(prob, tol=tol)
+        res = solve_qp(prob)
         solved += 1
         if res.status == ITERATION_LIMIT:
             return MiqpResult(BUDGET_EXCEEDED, node_count=solved,

@@ -27,9 +27,8 @@ from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import linprog
 
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -96,6 +95,8 @@ class LpResult:
 
 def solve_lp(p: LpProblem) -> LpResult:
     """Solve an LP; infeasible/unbounded are regular statuses, not errors."""
+    from scipy.optimize import linprog    # only here: scipy is slow to import
+
     bounds = p.bounds if p.bounds is not None else [(None, None)] * p.n
     res = linprog(
         p.c,
@@ -137,12 +138,11 @@ class QpProblem:
     E: np.ndarray | None = None
     d: np.ndarray | None = None
     c0: float = 0.0
-    tol: Tolerances = field(default=DEFAULT, repr=False)
     matrices: QpMatrices | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.matrices is None:
-            self.matrices = QpMatrices.of(self.H, self.G, self.E, self.tol)
+            self.matrices = QpMatrices.of(self.H, self.G, self.E)
         elif not (self.H is None and self.G is None and self.E is None):
             raise ValueError("give H, G and E or their record, not both")
         mats = self.matrices
@@ -195,20 +195,20 @@ def _orthogonalize(Q, v):
     return c + c2, r - Q @ c2
 
 
-def _equality_space(E, n, tol):
+def _equality_space(E, n):
     """Null space of E from an SVD of its unit-scaled rows.
 
     Returns (Z, P): an orthonormal null-space basis and the pseudo-inverse
     of E', which maps a gradient to equality multipliers and, transposed,
     d to the least-norm solution of E x = d. Singular values at most
-    ``tol.qp_dependence`` count as zero, so dependent rows are harmless if
+    ``DEFAULT.qp_dependence`` count as zero, so dependent rows are harmless if
     consistent.
     """
     if E is None:
         return np.eye(n), None
     inv = _inverse_norms(E)
     U, sv, Vt = np.linalg.svd(E * inv[:, None])
-    r = int(np.count_nonzero(sv > tol.qp_dependence))
+    r = int(np.count_nonzero(sv > DEFAULT.qp_dependence))
     return Vt[r:].T, (inv[:, None] * U[:, :r] / sv[:r]) @ Vt[:r]
 
 
@@ -229,11 +229,11 @@ def _prox_columns(H, E):
     return ~tied
 
 
-def _inverse_factor(Hr, Z, tol):
+def _inverse_factor(Hr, Z):
     """J with J J' = Z (Z'Hr Z)^-1 Z', or None if Hr is (numerically)
     singular on range(Z)."""
     lam, V = np.linalg.eigh(Z.T @ Hr @ Z)
-    if lam.size and lam[0] <= tol.psd * max(1.0, lam[-1]):
+    if lam.size and lam[0] <= DEFAULT.psd * max(1.0, lam[-1]):
         return None
     return (Z @ V) / np.sqrt(lam)
 
@@ -256,13 +256,13 @@ class QpMatrices:
     """What a QP's matrices alone determine, checked and derived once.
 
     ``of`` checks that H, G and E are finite with agreeing shapes and that H
-    is symmetric within ``tol.sym`` and positive semidefinite (smallest
-    eigenvalue >= -tol.psd * max(1, |H|)); H is kept as its symmetric part.
+    is symmetric within ``DEFAULT.sym`` and positive semidefinite (smallest
+    eigenvalue >= -DEFAULT.psd * max(1, |H|)); H is kept as its symmetric part.
     Derived, read-only: ``inv``, G's inverse row norms, and what the dual
     active-set method takes from H and E: the null space ``Z`` and
     multiplier map ``P`` of E, ``scale`` = max(1, |H|), the proximal
     columns ``prox`` and their weights ``rho``, the regularised cost ``Hr``
-    and its inverse factor ``J``, all for the tolerances given to ``of``.
+    and its inverse factor ``J``.
     """
 
     H: np.ndarray
@@ -278,29 +278,29 @@ class QpMatrices:
     J: np.ndarray | None
 
     @classmethod
-    def of(cls, H, G=None, E=None, tol: Tolerances = DEFAULT) -> QpMatrices:
+    def of(cls, H, G=None, E=None) -> QpMatrices:
         H = _as_matrix(H, "H")
         n = H.shape[0]
         if H.shape != (n, n):
             raise ValueError("H must be square")
         scale = max(1.0, float(np.abs(H).max()))
-        if np.abs(H - H.T).max() > tol.sym * scale:
+        if np.abs(H - H.T).max() > DEFAULT.sym * scale:
             raise ValueError("H is not symmetric")
         H = 0.5 * (H + H.T)
         lam_min = float(np.linalg.eigvalsh(H)[0])
-        if lam_min < -tol.psd * scale:
+        if lam_min < -DEFAULT.psd * scale:
             raise ValueError(f"H is not positive semidefinite (lambda_min={lam_min:g})")
         if E is not None:
             E = _columns(E, n, "E", "equality")
         live = E if E is not None and E.shape[0] else None
-        Z, P = _equality_space(live, n, tol)
+        Z, P = _equality_space(live, n)
         scale = max(1.0, float(np.abs(H).max()))     # of the symmetric part
         # if the cost is singular on the equality null space beyond the relaxed
         # binaries, fall back to the proximal term on every column
         for prox in (_prox_columns(H, live), np.ones(n, dtype=bool)):
-            rho = tol.qp_prox * scale * prox
+            rho = DEFAULT.qp_prox * scale * prox
             Hr = H + np.diag(rho)
-            J = _inverse_factor(Hr, Z, tol)
+            J = _inverse_factor(Hr, Z)
             if J is not None:
                 break
         _read_only(H, Z, P, prox, rho, Hr, J)
@@ -364,10 +364,10 @@ class _DualActiveSet:
     new linear term (proximal passes, warm starts).
     """
 
-    def __init__(self, mats: QpMatrices, h, cap, tol):
+    def __init__(self, mats: QpMatrices, h, cap):
         self.G = mats.G if mats.G is not None else np.zeros((0, mats.n))
         self.inv, self.J, self.Z = mats.inv, mats.J, mats.Z
-        self.h, self.cap, self.tol = h, cap, tol
+        self.h, self.cap = h, cap
         self.cols = {}
         self.work = []
         self.lam = np.zeros(0)
@@ -391,10 +391,10 @@ class _DualActiveSet:
 
     def _independent(self, i):
         """Euclidean residual of row i off the working and equality rows,
-        or None when it is at most ``tol.qp_dependence`` (dependent)."""
+        or None when it is at most ``DEFAULT.qp_dependence`` (dependent)."""
         resid = _orthogonalize(self.QY, self._row(i)[0])[1]
         norm = np.linalg.norm(resid)
-        return resid / norm if norm > self.tol.qp_dependence else None
+        return resid / norm if norm > DEFAULT.qp_dependence else None
 
     def _add(self, i, y_unit, cb, zb):
         k = len(self.work)
@@ -446,11 +446,11 @@ class _DualActiveSet:
         """Step from x, a proximal solution (so every working row is active
         at it), that keeps the working rows active and ignores the proximal
         term: to the minimiser of the cost on that face, or, where the face
-        leaves the cost flat with a slope above ``tol.qp_kkt``, straight
+        leaves the cost flat with a slope above ``DEFAULT.qp_kkt``, straight
         down that slope.
 
         Returns (x, multipliers) when the minimiser is a KKT point (rows
-        hold, multipliers nonnegative within ``tol.qp_kkt``); (point, None)
+        hold, multipliers nonnegative within ``DEFAULT.qp_kkt``); (point, None)
         with the point where the step first meets another row, a better
         proximal centre; or None.
         """
@@ -459,17 +459,17 @@ class _DualActiveSet:
         N = self.Z @ Q[:, k:]          # null space of E and the working rows
         curv, V = np.linalg.eigh(N.T @ H @ N)
         slope = V.T @ (N.T @ (H @ x + g))
-        flat = curv <= self.tol.psd * max(1.0, curv.max(initial=0.0))
-        if np.abs(slope[flat]).max(initial=0.0) > self.tol.qp_kkt:
+        flat = curv <= DEFAULT.psd * max(1.0, curv.max(initial=0.0))
+        if np.abs(slope[flat]).max(initial=0.0) > DEFAULT.qp_kkt:
             step = -N @ (V[:, flat] @ slope[flat])
         else:
             step = -N @ (V[:, ~flat] @ (slope[~flat] / curv[~flat]))
             lam = -np.linalg.solve(R[:k], Q[:, :k].T @ (self.Z.T @ (H @ (x + step) + g)))
-            if (self.G @ (x + step) - self.h).max(initial=0.0) <= self.tol.feas:
-                return (x + step, lam) if lam.min(initial=0.0) >= -self.tol.qp_kkt else None
+            if (self.G @ (x + step) - self.h).max(initial=0.0) <= DEFAULT.feas:
+                return (x + step, lam) if lam.min(initial=0.0) >= -DEFAULT.qp_kkt else None
         rate = (self.G @ step) * self.inv
         rate[self.work] = 0.0
-        hits = np.flatnonzero(rate > self.tol.qp_dependence * np.abs(step).max(initial=0.0))
+        hits = np.flatnonzero(rate > DEFAULT.qp_dependence * np.abs(step).max(initial=0.0))
         if hits.size == 0:
             return None
         tau = np.min((self.h[hits] - self.G[hits] @ x) * self.inv[hits] / rate[hits])
@@ -482,7 +482,7 @@ class _DualActiveSet:
         while True:
             viol = G @ x - h
             viol[self.work] = -np.inf
-            violated = np.flatnonzero(viol > self.tol.feas)
+            violated = np.flatnonzero(viol > DEFAULT.feas)
             if violated.size == 0:
                 return OPTIMAL, x, it
             p = int(violated[np.argmax(viol[violated] * inv[violated])])
@@ -522,22 +522,20 @@ class _DualActiveSet:
                 self._keep(keep)
 
 
-def solve_qp(p: QpProblem, x0=None, active_set=None, tol: Tolerances = DEFAULT,
-             max_iter=None) -> QpResult:
+def solve_qp(p: QpProblem, x0=None, active_set=None, max_iter=None) -> QpResult:
     """Dual active-set QP solver (Goldfarb & Idnani 1983; DAQP's form).
 
     Needs no feasible start: it begins at the equality-constrained
     minimiser and adds violated rows, so infeasibility surfaces as a status.
     Cost-free columns that no equality ties to a costed column (relaxed
-    binaries) get a proximal term of weight ``tol.qp_prox * max(1, |H|)``;
+    binaries) get a proximal term of weight ``DEFAULT.qp_prox * max(1, |H|)``;
     proximal passes repeat until the centre moves the gradient by at most
-    ``tol.qp_kkt``, or until solving on the working set without the term
+    ``DEFAULT.qp_kkt``, or until solving on the working set without the term
     gives a KKT point, which makes H = 0 (an LP) exact. ``x0`` seeds the
     proximal centre and ``active_set`` the working set (a branch-and-bound
     child passes its parent's). At ``max_iter`` working-set changes the
     status is ``ITERATION_LIMIT``. G's row norms and the factors of H and E
-    are read from ``p.matrices``, derived for the tolerances it was built
-    with.
+    are read from ``p.matrices``.
     """
     mats = p.matrices
     n = p.n
@@ -549,11 +547,11 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, tol: Tolerances = DEFAULT,
 
     P, scale, prox, rho, Hr, J = mats.P, mats.scale, mats.prox, mats.rho, mats.Hr, mats.J
     x_p = np.zeros(n) if P is None else P.T @ p.d
-    if P is not None and np.abs(E @ x_p - p.d).max() > tol.feas:
+    if P is not None and np.abs(E @ x_p - p.d).max() > DEFAULT.feas:
         return QpResult(INFEASIBLE)
-    cap = tol.qp_dual_cap * max(scale, tol.qp_prox * scale,
-                                float(np.abs(p.g).max(initial=0.0)))
-    gi = _DualActiveSet(mats, h, cap, tol)
+    cap = DEFAULT.qp_dual_cap * max(scale, DEFAULT.qp_prox * scale,
+                                    float(np.abs(p.g).max(initial=0.0)))
+    gi = _DualActiveSet(mats, h, cap)
 
     center = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float) * prox
     seed_rows = () if active_set is None else [int(i) for i in active_set if 0 <= i < mi]
@@ -568,7 +566,7 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, tol: Tolerances = DEFAULT,
         iters += used
         if status != OPTIMAL:
             return QpResult(status, iterations=iters)
-        if np.abs(rho * (x - center)).max() <= tol.qp_kkt:
+        if np.abs(rho * (x - center)).max() <= DEFAULT.qp_kkt:
             break
         if iters >= max_iter:
             return QpResult(ITERATION_LIMIT, iterations=iters)
@@ -592,12 +590,12 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, tol: Tolerances = DEFAULT,
                     eq_dual=eq_dual, iterations=iters)
 
 
-def eig_sym(M, tol: Tolerances = DEFAULT) -> np.ndarray:
+def eig_sym(M) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending."""
     M = _as_matrix(M, "M")
     if M.shape[0] != M.shape[1]:
         raise ValueError("matrix must be square")
     scale = max(1.0, float(np.abs(M).max()))
-    if np.abs(M - M.T).max() > tol.sym * scale:
+    if np.abs(M - M.T).max() > DEFAULT.sym * scale:
         raise ValueError("matrix is not symmetric")
     return np.linalg.eigvalsh(0.5 * (M + M.T))

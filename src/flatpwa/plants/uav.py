@@ -76,11 +76,6 @@ def accel_polygon(params: UavParams = UavParams(), num_sides: int = 16) -> HPoly
     return HPolytope(A, b)
 
 
-def accel_polygon_vertices(params: UavParams = UavParams(), num_sides: int = 16):
-    angles = 2.0 * np.pi * np.arange(num_sides) / num_sides
-    return params.accel_radius * np.column_stack([np.cos(angles), np.sin(angles)])
-
-
 def velocity_workspace(params: UavParams = UavParams()) -> HPolytope:
     lo, hi = params.velocity_lo, params.velocity_hi
     return HPolytope.box([lo, lo], [hi, hi])

@@ -17,7 +17,7 @@ import numpy as np
 from .numkernel import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
 # not called here: the benchmark's tracer rebinds this name in this module
 from .numkernel import solve_lp  # noqa: F401
-from .tolerances import DEFAULT, Tolerances
+from .tolerances import DEFAULT
 
 VERTEX_DIM_LIMIT = 6
 
@@ -62,9 +62,9 @@ class HPolytope:
         b = np.concatenate([upper, -lower])
         return cls(A, b)
 
-    def contains(self, x, tol_feas=DEFAULT.feas):
+    def contains(self, x):
         x = np.asarray(x, dtype=float)
-        return bool(np.max(self.A @ x - self.b) <= tol_feas)
+        return bool(np.max(self.A @ x - self.b) <= DEFAULT.feas)
 
     def residual(self, x):
         """Largest row violation at x (negative means strictly inside)."""
@@ -94,9 +94,9 @@ class StackedRows:
                    slices=tuple(slice(s, s + c) for s, c in zip(starts, counts)),
                    owner=np.repeat(np.arange(len(counts)), counts))
 
-    def locate(self, y, tol_feas):
+    def locate(self, y):
         """Index of the first polytope with the smallest max-residual at y,
-        or -1 when that residual exceeds ``tol_feas``. For an (N, dim) batch
+        or -1 when that residual exceeds ``DEFAULT.feas``. For an (N, dim) batch
         of points, an array of N indices.
 
         Each residual is one ``einsum`` sum of products, whose rounding does
@@ -107,8 +107,8 @@ class StackedRows:
                                     self.starts, axis=-1)
         j = worst.argmin(axis=-1)
         if y.ndim == 1:
-            return int(j) if worst[j] <= tol_feas else -1
-        return np.where(worst[np.arange(j.size), j] <= tol_feas, j, -1)
+            return int(j) if worst[j] <= DEFAULT.feas else -1
+        return np.where(worst[np.arange(j.size), j] <= DEFAULT.feas, j, -1)
 
 
 @dataclass
@@ -129,18 +129,18 @@ def intersect(P: HPolytope, Q: HPolytope) -> HPolytope:
     return HPolytope(np.vstack([P.A, Q.A]), np.concatenate([P.b, Q.b]))
 
 
-def find_point(P: HPolytope, tol: Tolerances = DEFAULT):
+def find_point(P: HPolytope):
     """A point of P, or None when P is empty.
 
     The minimum-norm point: min 1/2 |x|^2 over P's rows scaled to unit
     norm, from the dual active-set QP kernel, so every row holds within
-    ``tol.feas`` as a distance and scaling a row does not change the
+    ``DEFAULT.feas`` as a distance and scaling a row does not change the
     verdict. An iteration cap is no verdict and raises ValueError.
     """
     norms = np.linalg.norm(P.A, axis=1)
     inv = 1.0 / np.where(norms > 0.0, norms, 1.0)    # a zero row holds: b >= 0
     res = solve_qp(QpProblem(H=np.eye(P.dim), g=np.zeros(P.dim), G=P.A * inv[:, None],
-                             h=P.b * inv, tol=tol), tol=tol)
+                             h=P.b * inv))
     if res.status == OPTIMAL:
         return res.x
     if res.status == INFEASIBLE:
@@ -148,22 +148,22 @@ def find_point(P: HPolytope, tol: Tolerances = DEFAULT):
     raise ValueError(f"feasibility QP stopped with status {res.status!r}")
 
 
-def is_empty(P: HPolytope, tol: Tolerances = DEFAULT) -> bool:
-    return find_point(P, tol) is None
+def is_empty(P: HPolytope) -> bool:
+    return find_point(P) is None
 
 
-def is_bounded(P: HPolytope, tol: Tolerances = DEFAULT) -> bool:
+def is_bounded(P: HPolytope) -> bool:
     """True when the recession cone {y : A y <= 0} holds no y with y_i >= 1
     or y_i <= -1 for any coordinate i; for a nonempty P that is boundedness.
     """
     cone = HPolytope(P.A, np.zeros(P.num_rows))
     for row in np.vstack([-np.eye(P.dim), np.eye(P.dim)]):
-        if not is_empty(intersect(cone, HPolytope(row, [-1.0])), tol):
+        if not is_empty(intersect(cone, HPolytope(row, [-1.0]))):
             return False
     return True
 
 
-def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
+def vertices(P: HPolytope) -> VertexSet:
     """Exact vertex enumeration by solving all d-subsets of active rows.
 
     Only valid (and guarded) for dim <= 6; the caller guarantees boundedness
@@ -174,7 +174,7 @@ def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
         raise ValueError(f"vertex enumeration limited to dim <= {VERTEX_DIM_LIMIT}")
     if m < d:
         raise ValueError("fewer rows than dimensions: unbounded")
-    if not is_bounded(P, tol):
+    if not is_bounded(P):
         raise ValueError("polytope is unbounded")
     pts = []
     supports = []
@@ -187,11 +187,11 @@ def vertices(P: HPolytope, tol: Tolerances = DEFAULT) -> VertexSet:
             continue
         if not np.all(np.isfinite(v)):
             continue
-        if np.max(P.A @ v - P.b) > tol.feas:
+        if np.max(P.A @ v - P.b) > DEFAULT.feas:
             continue
         dup = False
         for q in pts:
-            if np.max(np.abs(q - v)) <= tol.vertex_dedupe:
+            if np.max(np.abs(q - v)) <= DEFAULT.vertex_dedupe:
                 dup = True
                 break
         if not dup:
@@ -218,8 +218,3 @@ def row_violations(P: HPolytope, Z: HPolytope) -> np.ndarray:
         raise ValueError("ambient dimensions differ")
     lower, upper = box_bounds(Z)
     return (P.A * np.where(P.A > 0, upper, lower)).sum(axis=1) - P.b
-
-
-def max_row_violation(P: HPolytope, Z: HPolytope) -> float:
-    """M* = max_j max_{x in Z} (A_j x - b_j); the smallest sound big-M for P over Z."""
-    return float(np.max(row_violations(P, Z)))

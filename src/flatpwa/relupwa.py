@@ -22,7 +22,6 @@ from pathlib import Path
 import numpy as np
 
 from .polytope import HPolytope, StackedRows, box_bounds, intersect, is_empty
-from .tolerances import DEFAULT, Tolerances
 
 ENUMERATION_WIDTH_GUARD = 25
 
@@ -159,15 +158,14 @@ def pattern_halfspaces(net: ReluNetwork, alpha):
     return HPolytope(A, b)
 
 
-def piece_for_pattern(net: ReluNetwork, alpha, workspace: HPolytope,
-                      tol: Tolerances = DEFAULT):
+def piece_for_pattern(net: ReluNetwork, alpha, workspace: HPolytope):
     """AffinePiece for one activation pattern, or None when its cell misses
     the workspace."""
     alpha = np.asarray(alpha)
     if alpha.size != net.n1:
         raise ValueError("pattern length must equal hidden width")
     cell = intersect(pattern_halfspaces(net, alpha), workspace)
-    if is_empty(cell, tol):
+    if is_empty(cell):
         return None
     F, f = affine_maps_for_pattern(net, alpha)
     return AffinePiece(alpha=np.asarray(alpha, dtype=int), F=F, f=f, polytope=cell)
@@ -189,7 +187,6 @@ def _forced_signs(net: ReluNetwork, workspace: HPolytope):
 
 
 def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
-                    tol: Tolerances = DEFAULT,
                     width_guard: int = ENUMERATION_WIDTH_GUARD) -> PwaDecomposition:
     """Exhaustive cell enumeration over all 2^n1 activation patterns.
 
@@ -211,7 +208,7 @@ def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
     for bits in itertools.product((-1, 1), repeat=free_idx.size):
         alpha = forced.copy()
         alpha[free_idx] = bits
-        piece = piece_for_pattern(net, alpha, workspace, tol)
+        piece = piece_for_pattern(net, alpha, workspace)
         if piece is not None:
             pieces.append(piece)
     return PwaDecomposition(workspace=workspace, pieces=pieces)
@@ -221,9 +218,10 @@ def pwa_eval_batch(net: ReluNetwork, pts):
     """Vectorized PWA evaluation via per-point activation masks.
 
     Selecting the piece from the sign of each pre-activation row and applying
-    its affine map is algebraically identical to the forward pass, so this is
-    the PWA evaluation path suitable for multi-million point grids. The masks
-    come from the network itself; no decomposition is needed.
+    its affine map is algebraically identical to the forward pass. The masks
+    come from the network itself; no decomposition is needed. The pipeline
+    does not call it (the grid certificate sums the first layer per grid
+    axis); the benchmark's tracer rebinds this name in ``errorbounds``.
     """
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
     pre = pts @ net.W1.T + net.b1

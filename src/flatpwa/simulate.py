@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tolerances import DEFAULT, Tolerances
 
 # slack on the true input bounds and the plant state rows before a sample
 # counts as a violation
@@ -90,11 +89,11 @@ class ClosedLoopResult:
         return float(np.max(self.solver_ms)) if self.solver_ms else 0.0
 
 
-def locate_cell(union, y, tol: Tolerances = DEFAULT):
+def locate_cell(union, y):
     """Index of the admissible-union member containing the network input y,
     the first of the smallest max-residual winning; -1 when outside all
     members. An (N, dim) batch of inputs gives an array of N indices."""
-    return union.stacked.locate(y, tol.feas)
+    return union.stacked.locate(y)
 
 
 def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,

@@ -1,8 +1,9 @@
-"""Central numeric tolerance configuration.
+"""The package's numeric thresholds, one table of values.
 
-Every solver and geometric predicate in the package reads its tolerances
-from a single :class:`Tolerances` record so that test suites and callers
-can tighten or relax them in one place.
+Every solver and geometric predicate reads ``DEFAULT`` directly; no function
+takes a tolerance argument, so every stage of the pipeline (cells, error
+bound, union, branch and bound, controllers) judges "feasible", "empty" and
+"optimal" alike.
 """
 
 from dataclasses import dataclass

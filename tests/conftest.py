@@ -7,7 +7,6 @@ from flatpwa.numkernel import OPTIMAL, LpProblem, solve_lp
 from flatpwa.plants import aircraft, pmsm, uav
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.simulate import rk4_step
-from flatpwa.tolerances import DEFAULT
 
 
 def _data(name):
@@ -102,7 +101,7 @@ def _piece_values(cells, pts):
     """The decomposition's own value at each point: the batch locator picks
     a piece and its F, f are applied. Points it places in no cell (-1) are
     dropped; returns (kept points, values)."""
-    j = cells.stacked.locate(pts, DEFAULT.feas)
+    j = cells.stacked.locate(pts)
     inside = j >= 0
     F = np.stack([p.F for p in cells.pieces])[j[inside]]
     f = np.stack([p.f for p in cells.pieces])[j[inside]]

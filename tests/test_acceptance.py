@@ -20,7 +20,7 @@ from flatpwa.numkernel import OPTIMAL
 from flatpwa.pipeline import DEFAULT_EPS
 from flatpwa.plants import aircraft as aircraft_mod
 from flatpwa.plants import uav as uav_mod
-from flatpwa.polytope import box_bounds, max_row_violation
+from flatpwa.polytope import box_bounds, row_violations
 from flatpwa.relupwa import enumerate_cells, forward, pwa_lipschitz
 from flatpwa.simulate import (ControllerInfeasible, locate_cell, rk4_discretize,
                               rk4_step, run_closed_loop)
@@ -145,7 +145,7 @@ def test_c5_taylor_table(aircraft_cells):
 
 
 def test_c6_big_m(paper_cell2, aircraft_plant, aircraft_union):
-    m_star = max_row_violation(paper_cell2, aircraft_plant.net_workspace)
+    m_star = row_violations(paper_cell2, aircraft_plant.net_workspace).max()
     from flatpwa.miencoding import validate_big_m_override
     try:
         validate_big_m_override(aircraft_union, aircraft_plant.net_workspace,

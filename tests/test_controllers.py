@@ -17,7 +17,7 @@ from flatpwa.controllers import (ClfSpec, MpcSpec, clf_step, clf_structure,
 from flatpwa.miencoding import build_admissible_union, compute_big_m
 from flatpwa.miqpsolver import solve_by_cell_enumeration, solve_miqp
 from flatpwa.pipeline import build_controller, build_pipeline
-from flatpwa.tolerances import DEFAULT, Tolerances
+from flatpwa.tolerances import DEFAULT
 from flatpwa.plants.aircraft import aircraft_phi
 from flatpwa.simulate import ControllerInfeasible, locate_cell, rk4_discretize
 
@@ -357,27 +357,6 @@ def test_flmpc_state_rows_hold_over_forecast(mpc_spec, flmpc_s,
     params = aircraft_plant.extras["params"]
     out = flmpc_step(flmpc_s, aircraft_plant.phi, np.array([0.2, 0.3]))
     assert out.z_forecast[:mpc_spec.N_p, 0].max() <= params.phi_stall + 1e-8
-
-
-def test_flmpc_step_solves_with_its_structures_tolerances(monkeypatch, mpc_spec,
-                                                          aircraft_union,
-                                                          aircraft_plant):
-    # every cell QP is posed and solved with the tolerances its matrix
-    # record was factored with
-    tol = Tolerances(feas=1e-9, qp_kkt=1e-8, miqp_gap=1e-7)
-    s = flmpc_structure(mpc_spec, aircraft_union, tol)
-    seen = []
-    solve_qp = controllers.solve_qp
-
-    def recorded(problem, tol):
-        seen.append((problem.tol, tol))
-        return solve_qp(problem, tol=tol)
-
-    monkeypatch.setattr(controllers, "solve_qp", recorded)
-    out = flmpc_step(s, aircraft_plant.phi, np.array([0.1, 0.8]))
-    assert s.tol is tol and len(seen) >= 1
-    assert all(posed is tol and solved is tol for posed, solved in seen)
-    assert np.isfinite(out.objective)
 
 
 # --- matrix records: built once per controller, freed with it ---------------

@@ -7,8 +7,7 @@ from flatpwa.plants.aircraft import (AircraftParams, aircraft_lipschitz,
                                      aircraft_phi, aircraft_phi_grad)
 from flatpwa.plants.pmsm import (PmsmParams, pmsm_from_flat, pmsm_phi,
                                  pmsm_to_flat)
-from flatpwa.plants.uav import (UavParams, accel_polygon,
-                                accel_polygon_vertices, uav_phi)
+from flatpwa.plants.uav import UavParams, accel_polygon, uav_phi
 from flatpwa.polytope import vertices
 from flatpwa.simulate import (ControllerInfeasible, rk4_discretize, rk4_step,
                               run_closed_loop)
@@ -130,16 +129,9 @@ def test_uav_bank_bound_tight_on_circle():
         assert abs(u[1]) <= params.u2_max + 1e-12
 
 
-def test_uav_polygon_vertices_on_circle():
-    params = UavParams()
-    pts = accel_polygon_vertices(params, 16)
-    assert np.allclose(np.linalg.norm(pts, axis=1), params.accel_radius,
-                       atol=1e-9)
-    assert params.accel_radius == pytest.approx(5.664, abs=1e-3)
-
-
 def test_uav_polygon_inner_approximation():
     params = UavParams()
+    assert params.accel_radius == pytest.approx(5.664, abs=1e-3)
     poly = accel_polygon(params, 16)
     V = vertices(poly)
     assert len(V) == 16

@@ -12,7 +12,6 @@ from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem,
 from flatpwa.polytope import HPolytope
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
 from flatpwa.simulate import rk4_discretize
-from flatpwa.tolerances import DEFAULT
 
 
 def aircraft_model(union, bigm, plant, N_p, z0):
@@ -126,10 +125,10 @@ def test_monotone_bounds_along_tree(aircraft_union, aircraft_bigm,
     checked = 0
     for _ in range(12):
         node = np.full(m.n_bin, np.nan)
-        parent = solve_qp(_node_problem(m, node, DEFAULT)).objective
+        parent = solve_qp(_node_problem(m, node)).objective
         for k in rng.permutation(m.n_bin):
             node[k] = float(rng.integers(0, 2))
-            prob = _node_problem(m, node, DEFAULT)
+            prob = _node_problem(m, node)
             res = None if prob is None else solve_qp(prob)
             if res is None or res.status != OPTIMAL:
                 break          # an infeasible node ends its path

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -7,6 +12,8 @@ from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
                                _DualActiveSet,
                                eig_sym, solve_lp, solve_qp)
 from flatpwa.tolerances import DEFAULT
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def duality_gap(p, res):
@@ -25,6 +32,16 @@ def test_lp_single_active_constraint():
     assert res.x[0] == pytest.approx(3.0, abs=1e-8)
     assert res.objective == pytest.approx(-3.0, abs=1e-8)
     assert duality_gap(p, res) <= 1e-6
+
+
+def test_import_loads_no_scipy():
+    # only solve_lp, the LP reference, needs scipy, and importing it took
+    # most of the package's import time
+    code = ("import sys, flatpwa; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(SRC)}, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 def test_lp_contradictory_bounds_infeasible():
@@ -309,12 +326,10 @@ def test_qp_dependence_threshold():
     # Tolerances.qp_dependence: a unit row whose distance to the span of the
     # working rows is at most this counts as dependent (it would otherwise
     # enter with a step of 1/distance^2); one just above it is independent
-    tol = DEFAULT
     G = np.array([[1.0, 0.0],
-                  [1.0, 0.1 * tol.qp_dependence],
-                  [1.0, 10.0 * tol.qp_dependence]])
-    gi = _DualActiveSet(QpMatrices.of(np.eye(2), G, tol=tol), np.ones(3),
-                        tol.qp_dual_cap, tol)
+                  [1.0, 0.1 * DEFAULT.qp_dependence],
+                  [1.0, 10.0 * DEFAULT.qp_dependence]])
+    gi = _DualActiveSet(QpMatrices.of(np.eye(2), G), np.ones(3), DEFAULT.qp_dual_cap)
     gi.seed([0], np.array([2.0, 0.0]))
     assert gi.work == [0]
     assert gi._independent(1) is None

@@ -149,7 +149,7 @@ def _ref_point(U, z, big_m, input_map, n_z, m):
     return np.array(rows), np.array(rhs)
 
 
-def _ref_node_problem(model, fixed, tol):
+def _ref_node_problem(model, fixed):
     """Plain column selection: copy G, E and H down to the kept columns."""
     keep = [i for i in range(model.n) if i < model.n_cont or i not in fixed]
     fixed_cols = sorted(fixed)
@@ -159,7 +159,7 @@ def _ref_node_problem(model, fixed, tol):
     if fixed_cols:
         h = h - model.G[:, fixed_cols] @ vals
     zero = np.abs(G).max(axis=1) == 0.0
-    if np.any(h[zero] < -tol.feas):
+    if np.any(h[zero] < -DEFAULT.feas):
         return None
     h[zero] = np.maximum(h[zero], 0.0)
     E = model.E[:, keep]
@@ -167,12 +167,12 @@ def _ref_node_problem(model, fixed, tol):
     if fixed_cols:
         d = d - model.E[:, fixed_cols] @ vals
     ezero = np.abs(E).max(axis=1) == 0.0
-    if np.any(np.abs(d[ezero]) > tol.feas):
+    if np.any(np.abs(d[ezero]) > DEFAULT.feas):
         return None
     E, d = E[~ezero], d[~ezero]
     prob = QpProblem(H=model.H[np.ix_(keep, keep)], g=model.g[keep], G=G, h=h,
                      E=E if E.shape[0] else None, d=d if E.shape[0] else None,
-                     c0=model.c0, tol=tol)
+                     c0=model.c0)
     return prob
 
 
@@ -288,8 +288,8 @@ def test_node_problem_matches_column_selection(mpc_setup):
     model = structure.instantiate(*_random_refs(rng, spec, n_z, m))
     outcomes = set()
     for fixed in _random_fixings(rng, model, 10 if model.n_bin > 100 else 25):
-        prob = _node_problem(model, _node(model, fixed), DEFAULT)
-        ref = _ref_node_problem(model, fixed, DEFAULT)
+        prob = _node_problem(model, _node(model, fixed))
+        ref = _ref_node_problem(model, fixed)
         outcomes.add(prob is None)
         if ref is None:
             assert prob is None
@@ -315,8 +315,8 @@ def test_clf_node_problem_matches_column_selection(clf_bigm_model):
         # with ColumnBlocks.of
         model = clf_bigm_model(info["clf_spec"], U, z, plant, big_m)
         for fixed in _random_fixings(rng, model, 10):
-            prob = _node_problem(model, _node(model, fixed), DEFAULT)
-            ref = _ref_node_problem(model, fixed, DEFAULT)
+            prob = _node_problem(model, _node(model, fixed))
+            ref = _ref_node_problem(model, fixed)
             assert (prob is None) == (ref is None)
             if ref is not None:
                 for key in ("H", "g", "G", "h"):
@@ -332,6 +332,6 @@ def test_node_records_stay_within_their_bound():
     rng = np.random.default_rng(17)
     model = structure.instantiate(*_random_refs(rng, spec, n_z, m))
     for fixed in _random_fixings(rng, model, 60):
-        _node_problem(model, _node(model, fixed), DEFAULT)
+        _node_problem(model, _node(model, fixed))
         assert len(model.blocks.records) <= NODE_RECORDS
     assert len(model.blocks.records) == NODE_RECORDS

@@ -5,14 +5,13 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from flatpwa import numkernel, polytope, relupwa
+from flatpwa import polytope, relupwa
 from flatpwa.config import load_scenario
 from flatpwa.miencoding import build_admissible_union, compute_big_m
 from flatpwa.numkernel import OPTIMAL, LpProblem, solve_lp
 from flatpwa.pipeline import build_pipeline, certification_problem, run_taylor_table
 from flatpwa.polytope import (HPolytope, StackedRows, box_bounds, find_point,
-                              intersect, is_empty, max_row_violation, row_violations,
-                              vertices)
+                              intersect, is_empty, row_violations, vertices)
 from flatpwa.relupwa import enumerate_cells
 from flatpwa.tolerances import DEFAULT
 
@@ -210,28 +209,28 @@ def test_l1_ball_aircraft_cells_match_published_table(aircraft_cells):
 
 def test_max_row_violation_own_box():
     Z = unit_box()
-    assert max_row_violation(Z, Z) == pytest.approx(0.0, abs=1e-8)
+    assert row_violations(Z, Z).max() == pytest.approx(0.0, abs=1e-8)
 
 
 def test_max_row_violation_halfline():
     P = HPolytope([[1.0]], [0.0])
     Z = HPolytope.box([-1.0], [1.0])
-    assert max_row_violation(P, Z) == pytest.approx(1.0, abs=1e-8)
+    assert row_violations(P, Z).max() == pytest.approx(1.0, abs=1e-8)
 
 
 def test_max_row_violation_paper_cell(paper_cell2, aircraft_plant):
-    M = max_row_violation(paper_cell2, aircraft_plant.net_workspace)
+    M = row_violations(paper_cell2, aircraft_plant.net_workspace).max()
     assert M == pytest.approx(4.3247, abs=1e-2)
 
 
 def test_max_row_violation_region_not_a_box():
     with pytest.raises(ValueError):
-        max_row_violation(unit_box(1), HPolytope([[1.0]], [1.0]))
+        row_violations(unit_box(1), HPolytope([[1.0]], [1.0])).max()
 
 
 def test_row_violation_bounds_sampled(paper_cell2, aircraft_plant):
     Z = aircraft_plant.net_workspace
-    M = max_row_violation(paper_cell2, Z)
+    M = row_violations(paper_cell2, Z).max()
     rng = np.random.default_rng(1)
     lo, hi = box_bounds(Z)
     pts = rng.uniform(lo, hi, size=(2000, 2))
@@ -252,25 +251,25 @@ def test_stacked_rows_locate_tie_rule_and_reference(uav_cells):
     S = StackedRows.of([HPolytope.box([0.0, 0.0], [1.0, 1.0]),
                         HPolytope.box([1.0, 0.0], [2.0, 1.0]),
                         HPolytope.box([5.0, 5.0], [6.0, 6.0])])
-    assert S.locate([1.0, 0.5], 1e-8) == 0
-    assert S.locate([1.5, 0.5], 1e-8) == 1
-    assert S.locate([3.0, 3.0], 1e-8) == -1
-    assert list(S.locate([[1.0, 0.5], [1.5, 0.5], [3.0, 3.0]], 1e-8)) == [0, 1, -1]
+    assert S.locate([1.0, 0.5]) == 0
+    assert S.locate([1.5, 0.5]) == 1
+    assert S.locate([3.0, 3.0]) == -1
+    assert list(S.locate([[1.0, 0.5], [1.5, 0.5], [3.0, 3.0]])) == [0, 1, -1]
 
-    def first_smallest(polytopes, y, tol_feas=1e-8):
+    def first_smallest(polytopes, y):
         best, best_r = -1, np.inf
         for j, P in enumerate(polytopes):
             r = P.residual(y)
             if r < best_r:
                 best, best_r = j, r
-        return best if best_r <= tol_feas else -1
+        return best if best_r <= DEFAULT.feas else -1
 
     polys = [p.polytope for p in uav_cells.pieces]
     rng = np.random.default_rng(4)
     pts = rng.uniform(0.0, 24.0, size=(300, 2))     # the workspace is [3, 21]^2
-    batch = uav_cells.stacked.locate(pts, 1e-8)
+    batch = uav_cells.stacked.locate(pts)
     for y, j in zip(pts, batch):
-        assert uav_cells.stacked.locate(y, 1e-8) == first_smallest(polys, y) == j
+        assert uav_cells.stacked.locate(y) == first_smallest(polys, y) == j
 
 
 def test_stacked_rows_layout():
@@ -299,8 +298,8 @@ def test_stacked_rows_locate_single_and_batch_agree(shipped_pipelines):
         w, c = net.W1[k], net.b1[k]
         on_facet = pts - (((w * pts).sum(axis=1) + c) / (w * w).sum(axis=1))[:, None] * w
         ys = np.vstack([pts, on_facet])
-        batch = U.stacked.locate(ys, DEFAULT.feas)
-        assert [U.stacked.locate(y, DEFAULT.feas) for y in ys] == batch.tolist()
+        batch = U.stacked.locate(ys)
+        assert [U.stacked.locate(y) for y in ys] == batch.tolist()
         held = [sum(p.polytope.residual(y) <= DEFAULT.feas for p in U.pieces)
                 for y in on_facet]
         assert max(held) >= 2
@@ -368,7 +367,7 @@ def test_set_up_solves_no_lps(monkeypatch):
 
     qps, candidates = [], []
     solve_qp, piece_for_pattern = polytope.solve_qp, relupwa.piece_for_pattern
-    monkeypatch.setattr(numkernel, "linprog", no_lp)
+    monkeypatch.setattr("scipy.optimize.linprog", no_lp)
     monkeypatch.setattr(polytope, "solve_qp",
                         lambda *a, **k: qps.append(1) or solve_qp(*a, **k))
     monkeypatch.setattr(relupwa, "piece_for_pattern",
