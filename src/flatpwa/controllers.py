@@ -348,10 +348,10 @@ def flmpc_structure(spec: MpcSpec, U: AdmissibleUnion) -> FlmpcStructure:
     rows = U.stacked
     lifted = np.zeros((rows.b.size, t.n_cont))
     lifted[:, zeta_cols] = lift_rows(U, spec.input_map, n_z + m)
-    base = QpMatrices.of(t.H, E=t.E)
     return FlmpcStructure(
         horizon=horizon,
-        cells=tuple(base.with_rows(np.vstack([t.G, lifted[c]])) for c in rows.slices),
+        cells=tuple(t.blocks.cont.with_rows(np.vstack([t.G, lifted[c]]))
+                    for c in rows.slices),
         rhs=tuple(np.concatenate([t.h, rows.b[c]]) for c in rows.slices))
 
 
@@ -402,9 +402,15 @@ def make_clf_controller(spec: ClfSpec, U, A, B, input_map=None):
 
 def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None, ref_cells=None):
     """MPC adapter; ``refs(k)`` returns (z_ref, v_ref) horizon blocks and
-    ``ref_cells(k)`` an optional cell-sequence hint for the first solve."""
+    ``ref_cells(k)`` an optional cell-sequence hint for every solve.
+
+    Without ``ref_cells`` each solve is hinted with the previous solve's
+    sequence, shifted by one step; the first, with the cell of (z0, v_ref_0)
+    (v = 0 without a reference) at every step."""
     last_cells = {"seq": None}
     structure = mpc_structure(spec, U, big_m)
+    S = np.eye(structure.template.meta["n_z"] + spec.B_d.shape[1]) \
+        if spec.input_map is None else np.asarray(spec.input_map, dtype=float)
 
     def controller(z, k):
         z_ref = v_ref = None
@@ -412,14 +418,18 @@ def make_mpc_controller(spec: MpcSpec, U, big_m, refs=None, ref_cells=None):
             z_ref, v_ref = refs(k)
         t0 = time.perf_counter()
         hint = ref_cells(k) if ref_cells is not None else last_cells["seq"]
+        if hint is None and len(U) > 1:
+            v = np.zeros(spec.B_d.shape[1]) if v_ref is None else np.atleast_2d(v_ref)[0]
+            hint = [U.stacked.locate(S @ np.concatenate([z, v]))] * spec.N_p
         out = mpc_step(spec, structure, z, z_ref=z_ref, v_ref=v_ref,
                        initial_cells=hint)
         ms = (time.perf_counter() - t0) * 1e3
-        seq = out.result.cell_sequence(out.model)
+        res = out.result
+        seq = res.cell_sequence(out.model)
         if seq:
             last_cells["seq"] = seq[1:] + seq[-1:]
-        return out.v, ms, {"nodes": out.result.node_count,
-                           "objective": out.result.objective,
+        return out.v, ms, {"status": res.status, "nodes": res.node_count, "gap": res.gap,
+                           "objective": res.objective,
                            "forecast": (out.z_forecast, out.v_forecast)}
 
     return controller

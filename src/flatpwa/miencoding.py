@@ -12,13 +12,15 @@ blocks under the discrete dynamics and produce one MIQP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .numkernel import RecordStore
+from .numkernel import QpMatrices, inverse_roots
 from .polytope import HPolytope, intersect, is_empty, row_violations
 from .relupwa import PwaDecomposition
+from .tolerances import DEFAULT
 
 
 @dataclass
@@ -115,42 +117,47 @@ def _frozen(*arrays):
         a.flags.writeable = False
 
 
-# node QP records a structure keeps, one per set of free binaries. Most sets
-# occur once, in a cold first solve; the PMSM MPC, the most of the shipped
-# scenarios, poses 42 in its 120-sample run and, kept to 16, rebuilds 1
-NODE_RECORDS = 16
+@functools.lru_cache(maxsize=None)
+def _sum_free_basis(k):
+    """Orthonormal basis of {y in R^k : sum(y) = 0} (Helmert's): column j
+    holds 1 on entries 0..j-1 and -j on entry j, scaled to unit norm."""
+    i, j = np.arange(k)[:, None], np.arange(1, k)
+    basis = np.where(i < j, 1.0, np.where(i == j, -j, 0.0)) / np.sqrt(j * (j + 1.0))
+    _frozen(basis)
+    return basis
 
 
 @dataclass(frozen=True)
 class ColumnBlocks:
     """A model's rows split by column type, so that a branch-and-bound node
-    assembles its QP from them without copying G.
+    assembles its QP's matrix record without a factorisation.
 
     Built once per structure and shared by every model instantiated from it.
-    ``Gc``/``Ec`` are the continuous columns of G/E (contiguous) and ``Eb``
-    the binary columns of E. A row of G carries at most one binary; the
-    nonzero ones are listed as (``bin_row``, ``bin_col``, ``bin_coef``) with
-    ``bin_col`` counted from the first binary. ``g_const``/``e_const`` flag
-    the rows without a continuous coefficient and ``Ec_live`` is Ec without
-    its flagged rows. ``records`` holds the node QPs' matrix records, one
-    per set of free binaries, built by the solver the first time a set
-    occurs.
+    ``G``/``E`` are the model's, ``Eb`` E's binary columns. A row of G
+    carries at most one binary, listed as (``bin_row``, ``bin_col``,
+    ``bin_coef``) with ``bin_col`` counted from the first binary; ``row_sq``
+    holds the squared norms of the continuous part of G's rows.
+    ``g_const``/``e_const`` flag the rows without a continuous coefficient.
+    Every binary sits in one cardinality row (a sum of binaries alone),
+    ``card_row``. ``cont`` is the record of the continuous block (H's
+    continuous block, G's continuous columns ``cont.G`` and E's continuous
+    rows), the structure's one factorisation.
     """
 
-    Gc: np.ndarray
-    Ec: np.ndarray
+    G: np.ndarray
+    E: np.ndarray
     Eb: np.ndarray
-    Ec_live: np.ndarray
     bin_row: np.ndarray
     bin_col: np.ndarray
     bin_coef: np.ndarray
+    row_sq: np.ndarray
     g_const: np.ndarray
     e_const: np.ndarray
-    records: RecordStore = field(default_factory=lambda: RecordStore(NODE_RECORDS),
-                                 repr=False, compare=False)
+    card_row: np.ndarray
+    cont: QpMatrices = field(repr=False, compare=False)
 
     @classmethod
-    def of(cls, G, E, n_cont):
+    def of(cls, H, G, E, n_cont):
         Gb = G[:, n_cont:]
         nonzero = Gb != 0.0
         rows = np.flatnonzero(nonzero.any(axis=1))
@@ -158,14 +165,74 @@ class ColumnBlocks:
             raise ValueError("an inequality row carries more than one binary")
         cols = nonzero[rows].argmax(axis=1) if rows.size else rows
         Gc = np.ascontiguousarray(G[:, :n_cont])
-        Ec = np.ascontiguousarray(E[:, :n_cont])
+        Ec, Eb = E[:, :n_cont], np.ascontiguousarray(E[:, n_cont:])
         e_const = ~Ec.any(axis=1)
-        blocks = cls(Gc=Gc, Ec=Ec, Eb=np.ascontiguousarray(E[:, n_cont:]),
-                     Ec_live=Ec[~e_const], bin_row=rows, bin_col=cols,
-                     bin_coef=Gb[rows, cols], g_const=~Gc.any(axis=1),
-                     e_const=e_const)
-        _frozen(*(getattr(blocks, f.name) for f in fields(blocks) if f.name != "records"))
+        card = Eb != 0.0
+        if card[~e_const].any() or (card.sum(axis=0) != 1).any() or (Eb[card] != 1.0).any():
+            raise ValueError("every binary must sit in one cardinality row, a sum "
+                             "of binaries alone")
+        row_sq = np.einsum("ij,ij->i", Gc, Gc)
+        Ec_live = Ec[~e_const] if (~e_const).any() else None
+        cont = replace(QpMatrices.of(H[:n_cont, :n_cont], E=Ec_live), G=Gc,
+                       inv=inverse_roots(row_sq))
+        blocks = cls(G=G, E=E, Eb=Eb, bin_row=rows, bin_col=cols, bin_coef=Gb[rows, cols],
+                     row_sq=row_sq, g_const=~Gc.any(axis=1), e_const=e_const,
+                     card_row=card.argmax(axis=0), cont=cont)
+        _frozen(Gc, cont.inv, *(getattr(blocks, f.name) for f in fields(blocks)
+                                if f.name not in ("G", "E", "cont")))
         return blocks
+
+    @functools.cached_property
+    def root(self) -> QpMatrices:
+        """The record with every binary free, the same at every sample."""
+        return self._assemble(np.ones(self.Eb.shape[1], dtype=bool))
+
+    def matrices(self, is_free):
+        """(record, live equality rows) of the node QPs whose free binaries
+        are ``is_free``."""
+        mats = (self.cont if not is_free.any() else
+                self.root if is_free.all() else self._assemble(is_free))
+        return mats, ~self.e_const | self.Eb[:, is_free].any(axis=1)
+
+    def _assemble(self, is_free):
+        """A node record in closed form. The node QP is block-separable: no
+        equality row touches both kinds of column, H is zero on the binaries
+        and their proximal weight is one constant, rho. So Z, J and P are
+        block-diagonal: ``cont``'s, then, for the k free binaries of each
+        cardinality row, Z_g an orthonormal basis of the sums-to-zero
+        vectors, J_g = Z_g / sqrt(rho) and 1/k per binary in P. G's row
+        norms are ``row_sq`` plus the coefficient of a free binary."""
+        cont = self.cont
+        nc, nf = cont.n, np.count_nonzero(is_free)
+        n = nc + nf
+        live = ~self.e_const | self.Eb[:, is_free].any(axis=1)
+        kept = np.concatenate([np.ones(nc, dtype=bool), is_free])
+        H = np.zeros((n, n))
+        H[:nc, :nc] = cont.H
+        rho_bin = DEFAULT.qp_prox * cont.scale
+        rho = np.concatenate([cont.rho, np.full(nf, rho_bin)])
+        sq = self.row_sq.copy()
+        on = is_free[self.bin_col]
+        sq[self.bin_row[on]] += self.bin_coef[on] ** 2
+        card = self.e_const[live]                # the live cardinality rows
+        rc = cont.Z.shape[1]
+        Z = np.zeros((n, rc + nf - np.count_nonzero(card)))
+        Z[:nc, :rc] = cont.Z
+        P = np.zeros((card.size, n))
+        if cont.P is not None:
+            P[~card, :nc] = cont.P
+        group, col = self.card_row[is_free], rc
+        for i, row in zip(np.flatnonzero(card), np.flatnonzero(live & self.e_const)):
+            at = nc + np.flatnonzero(group == row)
+            Z[at, col:col + at.size - 1] = _sum_free_basis(at.size)
+            P[i, at] = 1.0 / at.size
+            col += at.size - 1
+        J = Z.copy()
+        J[:nc, :rc] = cont.J
+        J[nc:] /= np.sqrt(rho_bin)
+        return QpMatrices(H=H, G=self.G if kept.all() else self.G[:, kept],
+                          E=self.E[np.ix_(live, kept)], inv=inverse_roots(sq), Z=Z, P=P,
+                          scale=cont.scale, rho=rho, Hr=H + np.diag(rho), J=J)
 
 
 @dataclass
@@ -200,7 +267,7 @@ class MiqpModel:
             # its H has no binary entries by construction
             if np.any(self.H[self.n_cont:]):
                 raise ValueError("binary variables must carry no cost")
-            self.blocks = ColumnBlocks.of(self.G, self.E, self.n_cont)
+            self.blocks = ColumnBlocks.of(self.H, self.G, self.E, self.n_cont)
 
     @property
     def n(self):

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .miencoding import MiqpModel
-from .numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpMatrices, QpProblem,
-                        solve_qp)
+from .numkernel import INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem, solve_qp
 from .tolerances import DEFAULT
 
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -102,37 +101,14 @@ def _assemble(model: MiqpModel, fix, x_node):
     return full
 
 
-def _node_matrices(model: MiqpModel, is_free):
-    """(record, live equality rows) of the node QPs whose free binaries are
-    ``is_free``: they depend on nothing else, so the structure's store
-    builds them the first time that set occurs."""
-    blocks = model.blocks
-
-    def build():
-        nc = model.n_cont
-        free = np.flatnonzero(is_free)
-        if free.size:
-            E_free = blocks.Eb[:, free]
-            live = ~blocks.e_const | E_free.any(axis=1)
-            E = np.hstack([blocks.Ec, E_free])[live]
-            G = np.hstack([blocks.Gc, model.G[:, nc + free]])
-            H = np.zeros((nc + free.size, nc + free.size))
-            H[:nc, :nc] = model.H[:nc, :nc]
-        else:
-            live = ~blocks.e_const
-            E, G, H = blocks.Ec_live, blocks.Gc, model.H[:nc, :nc]
-        return QpMatrices.of(H, G, E if E.shape[0] else None), live
-
-    return blocks.records.get(is_free.tobytes(), build)
-
-
 def _node_problem(model: MiqpModel, fix):
     """QP over [x; free binaries] with fixed binaries substituted out.
 
-    Its matrices come from ``_node_matrices``, so with every binary fixed G
-    is ``blocks.Gc`` itself, uncopied; a fixed binary moves the right-hand
-    side of its one row. Rows are kept in place (vacuous ones become zero
-    rows) so that active-set row indices stay valid across the whole tree.
+    Its matrices come from ``blocks.matrices``, so with every binary fixed
+    they are the continuous block's record, whose G is shared by every
+    sample; a fixed binary moves the right-hand side of its one row. Rows
+    are kept in place (vacuous ones become zero rows) so that active-set
+    row indices stay valid across the whole tree.
     Returns None when a constant row is already violated.
     """
     blocks = model.blocks
@@ -149,7 +125,7 @@ def _node_problem(model: MiqpModel, fix):
         return None
     h[const] = np.maximum(h[const], 0.0)
 
-    mats, live = _node_matrices(model, is_free)
+    mats, live = blocks.matrices(is_free)
     d = model.d - blocks.Eb @ value
     if (np.abs(d[~live]) > DEFAULT.feas).any():
         return None

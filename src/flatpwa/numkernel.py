@@ -14,6 +14,8 @@ norms and the factors of H and E) is one ``QpMatrices`` record. A
 controller poses QPs of few structures and each recurs at every sample, so
 whoever owns the matrices builds the record once and passes it to every
 ``QpProblem`` that shares them; a one-off QP builds its record on the spot.
+A branch-and-bound node's record is assembled in closed form from its
+structure's one factored record (``miencoding.ColumnBlocks``).
 
 Conventions
 -----------
@@ -23,7 +25,6 @@ QP:  min 1/2 x'H x + g'x + c0   s.t.  G x <= h,  E x = d,  with H >= 0.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -179,11 +180,17 @@ def _qp_objective(p, x):
     return float(0.5 * x @ p.H @ x + p.g @ x + p.c0)
 
 
-def _inverse_norms(M):
-    """1/||row|| for every row of M, 0 for zero rows (which then never
-    enter a working set: a violated one is reported infeasible)."""
-    norms = np.sqrt(np.einsum("ij,ij->i", M, M))
+def inverse_roots(sq):
+    """1/sqrt(sq) entrywise, 0 where sq is 0: the inverse row norms from
+    the squared ones (a zero row then never enters a working set: a
+    violated one is reported infeasible)."""
+    norms = np.sqrt(sq)
     return np.divide(1.0, norms, out=np.zeros_like(norms), where=norms > 0.0)
+
+
+def _inverse_norms(M):
+    """1/||row|| for every row of M, 0 for zero rows."""
+    return inverse_roots(np.einsum("ij,ij->i", M, M))
 
 
 def _orthogonalize(Q, v):
@@ -261,8 +268,8 @@ class QpMatrices:
     Derived, read-only: ``inv``, G's inverse row norms, and what the dual
     active-set method takes from H and E: the null space ``Z`` and
     multiplier map ``P`` of E, ``scale`` = max(1, |H|), the proximal
-    columns ``prox`` and their weights ``rho``, the regularised cost ``Hr``
-    and its inverse factor ``J``.
+    weights ``rho`` (nonzero on the proximal columns), the regularised cost
+    ``Hr`` and its inverse factor ``J``.
     """
 
     H: np.ndarray
@@ -272,7 +279,6 @@ class QpMatrices:
     Z: np.ndarray
     P: np.ndarray | None
     scale: float
-    prox: np.ndarray
     rho: np.ndarray
     Hr: np.ndarray
     J: np.ndarray | None
@@ -303,9 +309,9 @@ class QpMatrices:
             J = _inverse_factor(Hr, Z)
             if J is not None:
                 break
-        _read_only(H, Z, P, prox, rho, Hr, J)
-        mats = cls(H=H, G=None, E=E, inv=np.zeros(0), Z=Z, P=P,
-                   scale=scale, prox=prox, rho=rho, Hr=Hr, J=J)
+        _read_only(H, Z, P, rho, Hr, J)
+        mats = cls(H=H, G=None, E=E, inv=np.zeros(0), Z=Z, P=P, scale=scale, rho=rho,
+                   Hr=Hr, J=J)
         return mats if G is None else mats.with_rows(G)
 
     @property
@@ -319,34 +325,6 @@ class QpMatrices:
         inv = _inverse_norms(G)
         _read_only(inv)
         return replace(self, G=G, inv=inv)
-
-
-class RecordStore:
-    """Records built once per key, at most ``bound`` of them (the least
-    recently used goes first).
-
-    Its owner is whoever owns the matrices the records come from, so they
-    are freed with it; a horizon structure keeps one record per set of free
-    binaries its nodes pose.
-    """
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self._records = OrderedDict()
-
-    def __len__(self):
-        return len(self._records)
-
-    def get(self, key, build):
-        """The record of ``key``, from ``build()`` the first time."""
-        record = self._records.get(key)
-        if record is None:
-            record = self._records[key] = build()
-            if len(self._records) > self.bound:
-                self._records.popitem(last=False)
-        else:
-            self._records.move_to_end(key)
-        return record
 
 
 class _DualActiveSet:
@@ -450,9 +428,11 @@ class _DualActiveSet:
         down that slope.
 
         Returns (x, multipliers) when the minimiser is a KKT point (rows
-        hold, multipliers nonnegative within ``DEFAULT.qp_kkt``); (point, None)
-        with the point where the step first meets another row, a better
-        proximal centre; or None.
+        hold, multipliers nonnegative within ``DEFAULT.qp_kkt``); (point,
+        None) with a better proximal centre: the minimiser itself when it
+        holds every row but a working row's multiplier is negative there
+        (the next pass lets that row go), else the point where the step
+        first meets another row; or None when the step meets none.
         """
         k = len(self.work)
         Q, R = np.linalg.qr(self._basis()[0], mode="complete")
@@ -466,7 +446,7 @@ class _DualActiveSet:
             step = -N @ (V[:, ~flat] @ (slope[~flat] / curv[~flat]))
             lam = -np.linalg.solve(R[:k], Q[:, :k].T @ (self.Z.T @ (H @ (x + step) + g)))
             if (self.G @ (x + step) - self.h).max(initial=0.0) <= DEFAULT.feas:
-                return (x + step, lam) if lam.min(initial=0.0) >= -DEFAULT.qp_kkt else None
+                return x + step, (lam if lam.min(initial=0.0) >= -DEFAULT.qp_kkt else None)
         rate = (self.G @ step) * self.inv
         rate[self.work] = 0.0
         hits = np.flatnonzero(rate > DEFAULT.qp_dependence * np.abs(step).max(initial=0.0))
@@ -531,9 +511,13 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, max_iter=None) -> QpResult:
     binaries) get a proximal term of weight ``DEFAULT.qp_prox * max(1, |H|)``;
     proximal passes repeat until the centre moves the gradient by at most
     ``DEFAULT.qp_kkt``, or until solving on the working set without the term
-    gives a KKT point, which makes H = 0 (an LP) exact. ``x0`` seeds the
-    proximal centre and ``active_set`` the working set (a branch-and-bound
-    child passes its parent's). At ``max_iter`` working-set changes the
+    gives a KKT point, which makes H = 0 (an LP) exact. From the second pass
+    on, that solve's point (``polish``), if it holds every row, or else
+    where its step meets a new row, is the next centre: a pass's own
+    solution moves by about the cost's curvature over the proximal weight,
+    and re-centring there crawls. ``x0`` seeds the proximal centre and
+    ``active_set`` the working set (a branch-and-bound child passes its
+    parent's). At ``max_iter`` working-set changes the
     status is ``ITERATION_LIMIT``. G's row norms and the factors of H and E
     are read from ``p.matrices``.
     """
@@ -545,7 +529,8 @@ def solve_qp(p: QpProblem, x0=None, active_set=None, max_iter=None) -> QpResult:
     if max_iter is None:
         max_iter = 100 + 10 * (n + mi + me)
 
-    P, scale, prox, rho, Hr, J = mats.P, mats.scale, mats.prox, mats.rho, mats.Hr, mats.J
+    P, scale, rho, Hr, J = mats.P, mats.scale, mats.rho, mats.Hr, mats.J
+    prox = rho > 0.0
     x_p = np.zeros(n) if P is None else P.T @ p.d
     if P is not None and np.abs(E @ x_p - p.d).max() > DEFAULT.feas:
         return QpResult(INFEASIBLE)

@@ -6,6 +6,7 @@ same construction code.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -317,6 +318,11 @@ def summarize(result, pipe: Pipeline) -> dict:
         "max_solver_ms": result.max_solver_ms,
         "infeasible_at": result.infeasible_at,
     }
+    steps = [r.info for r in result.records if "status" in r.info]
+    if steps:
+        # the MPC's branch and bound: node counts and per-step statuses
+        out["max_nodes"] = max(s.get("nodes", 0) for s in steps)
+        out["status_counts"] = dict(Counter(s["status"] for s in steps))
     if len(zs):
         out["final_z"] = zs[-1].tolist()
         out["final_z_norm"] = float(np.linalg.norm(zs[-1]))

@@ -9,12 +9,13 @@ box's bounds.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from itertools import combinations
 
 import numpy as np
 
-from .numkernel import INFEASIBLE, OPTIMAL, QpProblem, solve_qp
+from .numkernel import INFEASIBLE, OPTIMAL, QpMatrices, QpProblem, solve_qp
 # not called here: the benchmark's tracer rebinds this name in this module
 from .numkernel import solve_lp  # noqa: F401
 from .tolerances import DEFAULT
@@ -129,6 +130,12 @@ def intersect(P: HPolytope, Q: HPolytope) -> HPolytope:
     return HPolytope(np.vstack([P.A, Q.A]), np.concatenate([P.b, Q.b]))
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_cost(dim):
+    """The matrix record of the cost 1/2 |x|^2 over ``dim`` variables."""
+    return QpMatrices.of(np.eye(dim))
+
+
 def find_point(P: HPolytope):
     """A point of P, or None when P is empty.
 
@@ -139,8 +146,8 @@ def find_point(P: HPolytope):
     """
     norms = np.linalg.norm(P.A, axis=1)
     inv = 1.0 / np.where(norms > 0.0, norms, 1.0)    # a zero row holds: b >= 0
-    res = solve_qp(QpProblem(H=np.eye(P.dim), g=np.zeros(P.dim), G=P.A * inv[:, None],
-                             h=P.b * inv))
+    res = solve_qp(QpProblem(g=np.zeros(P.dim), h=P.b * inv,
+                             matrices=_unit_cost(P.dim).with_rows(P.A * inv[:, None])))
     if res.status == OPTIMAL:
         return res.x
     if res.status == INFEASIBLE:

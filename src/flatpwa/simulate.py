@@ -21,6 +21,8 @@ import numpy as np
 # slack on the true input bounds and the plant state rows before a sample
 # counts as a violation
 CHECK_MARGIN = 1e-6
+# status of a sample whose controller found no input, so the last was held
+HELD = "held"
 
 
 def rk4_step(f, x, u, h):
@@ -70,6 +72,7 @@ class StepRecord:
     v: np.ndarray
     cell_index: int
     solver_ms: float
+    info: dict = field(default_factory=dict)   # the controller's, per step
 
 
 @dataclass
@@ -104,7 +107,8 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
     against the true nonlinear input map and the plant state rows, never the
     surrogate. When the controller raises ControllerInfeasible, "raise" ends
     the run there (``infeasible_at``) and "hold" applies the previous input
-    again, with a solve time of 0. Each sample interval is round(T_s / h)
+    again, with a solve time of 0 and the info ``{"status": "held"}``. Each
+    step's record keeps the controller's info. Each sample interval is round(T_s / h)
     RK4 substeps of ``plant.closed_loop_field`` on floats.
     """
     x = np.asarray(x0, dtype=float).copy()
@@ -118,10 +122,10 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
         z = plant.to_flat(x)
         t = k * T_s
         try:
-            v, ms, _ = controller(z, k)
+            v, ms, info = controller(z, k)
         except ControllerInfeasible:
             if on_infeasible == "hold" and v_prev is not None:
-                v, ms = v_prev, 0.0
+                v, ms, info = v_prev, 0.0, {"status": HELD}
             else:
                 result.infeasible_at = t
                 break
@@ -137,7 +141,7 @@ def run_closed_loop(plant, controller, x0, T_sim, T_s, h=1e-3, union=None,
         if union is not None:
             cell = locate_cell(union, plant.net_input(z, v))
         records.append(StepRecord(t=t, x=x, z=z.copy(), u=u, v=v.copy(),
-                                  cell_index=cell, solver_ms=ms))
+                                  cell_index=cell, solver_ms=ms, info=info))
         result.solver_ms.append(ms)
         for _ in range(sub):
             xs = rk4_step(plant.closed_loop_field, xs, vs, hh)

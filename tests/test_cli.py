@@ -223,6 +223,9 @@ def test_simulate_deterministic_traces(tmp_path):
     summary = json.loads((tmp_path / "a" / "summary.json").read_text())
     assert summary["input_violations"] == 0
     assert summary["state_violations"] == 0
+    # what branch and bound did: every step certified optimal
+    assert summary["status_counts"] == {"optimal": summary["steps"]}
+    assert summary["max_nodes"] >= 0
 
 
 def test_certify_reports_taylor_table(tmp_path):

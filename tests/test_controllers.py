@@ -1,12 +1,10 @@
-import gc
-import inspect
-import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import qmc
 
 import flatpwa
 from flatpwa import controllers, numkernel, polytope
@@ -359,7 +357,7 @@ def test_flmpc_state_rows_hold_over_forecast(mpc_spec, flmpc_s,
     assert out.z_forecast[:mpc_spec.N_p, 0].max() <= params.phi_stall + 1e-8
 
 
-# --- matrix records: built once per controller, freed with it ---------------
+# --- matrix records: built with the controller, none in its loop -----------
 
 def _shipped_pipeline(name):
     """A shipped scenario with its cells, union and big-M built (set-up
@@ -375,9 +373,9 @@ def _shipped_controller(pipe):
 
 
 def _count_matrix_work(monkeypatch):
-    """Calls of what a record does once (eigvalsh for the PSD check, the row
-    norms, the record constructor), of the per-call G record and of the CLF's
-    lifting of the union."""
+    """Calls of what builds a matrix record (the record constructor,
+    eigvalsh for the PSD check, svd for the equality null space, the row
+    norms), of the per-call G record and of the CLF's lifting of the union."""
     counts = {}
 
     def counted(owner, name, wrap=lambda f: f):
@@ -390,6 +388,7 @@ def _count_matrix_work(monkeypatch):
         monkeypatch.setattr(owner, name, wrap(call))
 
     counted(np.linalg, "eigvalsh")
+    counted(np.linalg, "svd")
     counted(numkernel, "_inverse_norms")
     counted(numkernel.QpMatrices, "of", staticmethod)
     counted(numkernel.QpMatrices, "with_rows")
@@ -397,28 +396,73 @@ def _count_matrix_work(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("scenario", ["aircraft_mpc", "aircraft_flmpc", "aircraft_clf"])
+@pytest.mark.parametrize("scenario", ["aircraft_mpc", "aircraft_flmpc", "aircraft_clf",
+                                      "pmsm_case1", "uav_tracking"])
 def test_second_sample_reuses_the_matrix_records(monkeypatch, scenario):
-    pipe = _shipped_pipeline(scenario)
+    # every record is built with the controller: the cold first sample (which
+    # branches on the PMSM) and the next one, from the predicted state,
+    # build none; branch-and-bound nodes assemble theirs in closed form
+    ctl, z = _shipped_controller(_shipped_pipeline(scenario))
     counts = _count_matrix_work(monkeypatch)
-    ctl, z = _shipped_controller(pipe)
-    ctl(z, 0)
-    if scenario == "aircraft_clf":
-        # lifted once per controller; a scalar-input CLF poses no QP
-        assert counts["clf_structure"] == 1 and counts["of"] == 0
-    else:
-        assert counts["of"] >= 1
-    counts.update(dict.fromkeys(counts, 0))
-    ctl(z, 1)
-    assert not any(counts.values()), counts
+    for k in range(2):
+        _, _, info = ctl(z, k)
+        assert not any(counts.values()), (k, counts)
+        if scenario not in ("aircraft_flmpc", "aircraft_clf"):
+            assert {"status", "nodes", "gap"} <= info.keys()
+        if "forecast" in info:
+            z = info["forecast"][0][1]
 
 
-def test_node_records_are_freed_with_their_controller():
-    ctl, z = _shipped_controller(_shipped_pipeline("aircraft_mpc"))
-    ctl(z, 0)
-    structure = inspect.getclosurevars(ctl).nonlocals["structure"]
-    store = weakref.ref(structure.template.blocks.records)
-    assert len(store()) >= 1
-    del ctl, structure
-    gc.collect()
-    assert store() is None
+# --- the cold first solve: hinted with the cell of (z0, v_ref_0) -----------
+
+def _first_solves(monkeypatch, pipe, x0s):
+    """(model, budget, hint, result) of the first solve of a freshly built
+    controller from each plant state in ``x0s``."""
+    seen = []
+
+    def spy(model, budget=None, initial_cells=None):
+        res = solve_miqp(model, budget=budget, initial_cells=initial_cells)
+        seen.append((model, budget, initial_cells, res))
+        return res
+
+    monkeypatch.setattr(controllers, "solve_miqp", spy)
+    first = []
+    for x0 in x0s:
+        ctl, _, _ = build_controller(pipe)
+        seen.clear()
+        try:
+            ctl(pipe.plant.to_flat(np.asarray(x0, dtype=float)), 0)
+        except ControllerInfeasible:
+            pass
+        first.append(seen[0])
+    return first
+
+
+def _same_solve(a, b, model):
+    assert a.status == b.status
+    if a.x is not None:
+        assert a.objective == pytest.approx(b.objective, abs=DEFAULT.miqp_gap)
+        assert a.cell_sequence(model) == b.cell_sequence(model)
+
+
+@pytest.mark.parametrize("scenario, N_p, draws", [
+    ("aircraft_mpc", None, 16),     # the shipped x0, then C9's box
+    ("pmsm_case1", None, 0),        # from rest
+    ("pmsm_case1", 2, 0),           # short enough for the oracle
+])
+def test_cold_hint_keeps_the_first_solve(monkeypatch, scenario, N_p, draws):
+    cfg = load_scenario(SCENARIOS / f"{scenario}.yaml")
+    if N_p is not None:
+        cfg.N_p = N_p
+    pipe = build_pipeline(cfg)
+    pipe.ensure_big_m()
+    _, x0, _ = build_controller(pipe)
+    sobol = qmc.Sobol(d=2, scramble=True, seed=9).random(draws)
+    x0s = [x0] + list(np.array([-0.2, -0.5]) + sobol * np.array([0.4, 1.0]))
+    for k, (model, budget, hint, hinted) in enumerate(_first_solves(monkeypatch, pipe, x0s)):
+        assert hint is not None and len(hint) == model.meta["N_p"]
+        _same_solve(hinted, solve_miqp(model, budget=budget), model)
+        if len(model.binary_groups[0]) ** len(model.binary_groups) <= 1000:
+            _same_solve(hinted, solve_by_cell_enumeration(model), model)
+        if scenario == "pmsm_case1" and k == 0:
+            assert hinted.status == "optimal" and hinted.node_count == 0

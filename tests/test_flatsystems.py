@@ -194,13 +194,16 @@ def test_closed_loop_hold_repeats_previous_input(aircraft_plant):
     def controller(z, k):
         if k == 2:
             raise ControllerInfeasible("no admissible input")
-        return np.array([0.1 * (k + 1)]), 1.0, {}
+        return np.array([0.1 * (k + 1)]), 1.0, {"step": k}
 
     held = run_closed_loop(aircraft_plant, controller, np.zeros(2), T_sim=0.5,
                            T_s=T_s, on_infeasible="hold")
     assert held.infeasible_at is None and len(held.records) == 5
     assert np.array_equal(held.records[2].v, held.records[1].v)
     assert held.records[2].solver_ms == 0.0
+    # each record keeps its controller's info; a held sample says so
+    assert [r.info for r in held.records] == [{"step": 0}, {"step": 1}, {"status": "held"},
+                                              {"step": 3}, {"step": 4}]
     raised = run_closed_loop(aircraft_plant, controller, np.zeros(2), T_sim=0.5,
                              T_s=T_s)
     assert raised.infeasible_at == 2 * T_s and len(raised.records) == 2

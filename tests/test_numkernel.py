@@ -8,12 +8,18 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, UNBOUNDED,
-                               LpProblem, QpMatrices, QpProblem, RecordStore,
+                               LpProblem, QpMatrices, QpProblem,
                                _DualActiveSet,
                                eig_sym, solve_lp, solve_qp)
+import flatpwa
+from flatpwa import miqpsolver
+from flatpwa.config import load_scenario
+from flatpwa.pipeline import build_controller, build_pipeline
+from flatpwa.simulate import run_closed_loop
 from flatpwa.tolerances import DEFAULT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+SCENARIOS = Path(flatpwa.__file__).parent / "data" / "scenarios"
 
 
 def duality_gap(p, res):
@@ -274,6 +280,53 @@ def test_qp_singular_costed_block():
     assert kkt_residual(p, res) <= 1e-7
 
 
+def test_qp_feasible_face_minimiser_is_the_next_centre():
+    # a stiff costed column (it sets the proximal weight rho = 200), a nearly
+    # flat one and three relaxed binaries: each proximal pass moves the
+    # binaries by about the flat column's slope over rho. The minimiser on
+    # the working rows' face is feasible, though one of their multipliers
+    # is negative there; taken as the next centre, it ends the crawl
+    # (re-centring at each pass's own solution took 50 iterations)
+    G = np.array([[1.3, 1.2, -1.0, 0.0, -0.3], [-0.4, 0.3, -0.9, -1.3, -0.7],
+                  [-1.0, 0.8, -0.1, 0.8, 0.5], [-0.4, -1.2, -0.6, 0.9, 0.6]])
+    p = QpProblem(H=np.diag([200.0, 1e-3, 0.0, 0.0, 0.0]), g=[-4.0, 2.0, 0.0, 0.0, 0.0],
+                  G=np.vstack([G, np.eye(5)[2:], -np.eye(5)[2:]]),
+                  h=np.r_[-0.4, 0.5, -0.4, 1.2, np.ones(3), np.zeros(3)],
+                  E=[[0.0, 0.0, 1.0, 1.0, 1.0]], d=[2.0])
+    res = solve_qp(p)
+    assert res.status == OPTIMAL and res.iterations <= 12
+    assert kkt_residual(p, res) <= 1e-7
+
+
+def test_pmsm_root_relaxation_does_not_crawl():
+    # pmsm_case1's second sample from its shipped x0: the root relaxation,
+    # warm started at the hint leaf's point, took 277 iterations when every
+    # proximal pass re-centred at its own solution
+    pipe = build_pipeline(load_scenario(SCENARIOS / "pmsm_case1.yaml"))
+    ctl, x0, _ = build_controller(pipe)
+    calls = []
+
+    def spy(prob, **kwargs):
+        res = solve_qp(prob, **kwargs)
+        calls.append((prob, res))
+        return res
+
+    def second_sample(z, k):
+        calls.clear()
+        return ctl(z, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(miqpsolver, "solve_qp", spy)
+        cfg = pipe.cfg
+        run_closed_loop(pipe.plant, second_sample, x0, T_sim=2 * cfg.T_s, T_s=cfg.T_s,
+                        h=cfg.substep)
+    n = max(prob.n for prob, _ in calls)
+    prob, res = next((prob, res) for prob, res in calls if prob.n == n)
+    assert res.status == OPTIMAL and res.iterations <= 20
+    assert kkt_residual(prob, res) <= 1e-7
+    assert res.objective == pytest.approx(solve_qp(prob).objective, abs=1e-9)
+
+
 def test_qp_rejects_indefinite_cost():
     with pytest.raises(ValueError):
         QpProblem(H=[[1.0, 0.0], [0.0, -1.0]], g=[0.0, 0.0])
@@ -297,15 +350,6 @@ def test_qp_record_checks_swapped_rows_and_is_not_given_twice():
         QpProblem(H=np.eye(2), g=[0.0, 0.0], matrices=mats)
     p = QpProblem(g=[-2.0, 0.0], h=[0.5], matrices=mats.with_rows([[1.0, 0.0]]))
     assert solve_qp(p).x[0] == pytest.approx(0.5)
-
-
-def test_record_store_keeps_its_bound_least_recently_used_first():
-    store = RecordStore(2)
-    built = []
-    for key in ("a", "b", "a", "c", "a", "b"):
-        assert store.get(key, lambda: built.append(key) or key) == key
-        assert len(store) <= 2
-    assert built == ["a", "b", "c", "b"]
 
 
 def test_qp_warm_start_from_parent_active_set():
