@@ -5,7 +5,7 @@ scenario config, runs the corresponding pipeline stage and writes reports
 (JSON) and traces (CSV) into --out.
 
 Exit codes: 0 success, 2 infeasible controller, 3 certification budget
-exceeded, 4 configuration error.
+exceeded, 4 configuration or usage error.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def cmd_enumerate(pipe, out_dir, args):
 
 def cmd_certify(pipe, out_dir, args):
     try:
-        cert = run_certification(pipe, threads=args.threads)
+        cert = run_certification(pipe)
     except GridBudgetExceeded as e:
         print(f"certification budget exceeded: {e}", file=sys.stderr)
         return EXIT_BUDGET
@@ -142,25 +142,28 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are configuration errors (exit 4), not argparse's exit 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="flatpwa",
         description="PWA constraint certification and MI-constrained control "
                     "for feedback-linearized flat systems")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="scenario YAML")
     parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for grid certification")
     parser.add_argument("--budget-ms", type=float, default=None,
                         help="override the per-solve time budget")
     parser.add_argument("--vertices", action="store_true",
                         help="include per-cell vertex counts in enumerate")
-    args = parser.parse_args(argv)
-
     try:
-        if args.threads < 1:
-            raise ConfigError(f"--threads: must be at least 1, got {args.threads}")
+        args = parser.parse_args(argv)
         cfg = load_scenario(args.config)
         if args.budget_ms is not None:
             cfg.max_ms = parse_max_ms(args.budget_ms, "--budget-ms")

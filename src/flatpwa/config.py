@@ -34,6 +34,14 @@ def _number(raw, path):
     return value
 
 
+def _integer(raw, path, lowest):
+    """A YAML integer of at least ``lowest``; ``true``/``false`` are not
+    integers here, though Python's ``bool`` subclasses ``int``."""
+    _require(isinstance(raw, int) and not isinstance(raw, bool) and raw >= lowest,
+             path, f"must be an integer >= {lowest}, got {raw!r}")
+    return raw
+
+
 def _divides(step, total):
     """Whether ``step`` goes into ``total`` a whole number of times, within
     1e-9 relative (the closed loop runs round(total / step) steps)."""
@@ -156,9 +164,7 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
         if key in tun:
             setattr(cfg, attr, np.atleast_2d(_matrix(tun[key], f"tuning.{key}")))
     if "N_p" in tun:
-        _require(isinstance(tun["N_p"], int) and tun["N_p"] >= 1, "tuning.N_p",
-                 "must be a positive integer")
-        cfg.N_p = tun["N_p"]
+        cfg.N_p = _integer(tun["N_p"], "tuning.N_p", 1)
     if "T_s" in tun:
         cfg.T_s = _number(tun["T_s"], "tuning.T_s")
         _require(cfg.T_s > 0, "tuning.T_s", "must be positive")
@@ -199,18 +205,13 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
 
     bud = raw.get("budgets", {})
     if "max_nodes" in bud:
-        _require(isinstance(bud["max_nodes"], int) and bud["max_nodes"] >= 0,
-                 "budgets.max_nodes", "must be a nonnegative integer")
-        cfg.max_nodes = bud["max_nodes"]
+        cfg.max_nodes = _integer(bud["max_nodes"], "budgets.max_nodes", 0)
     if bud.get("max_ms") is not None:
         cfg.max_ms = parse_max_ms(bud["max_ms"], "budgets.max_ms")
     if bud.get("fallback_max_nodes") is not None:
-        _require(isinstance(bud["fallback_max_nodes"], int),
-                 "budgets.fallback_max_nodes", "must be an integer")
-        cfg.fallback_max_nodes = bud["fallback_max_nodes"]
+        cfg.fallback_max_nodes = _integer(bud["fallback_max_nodes"],
+                                          "budgets.fallback_max_nodes", 0)
 
     if "polygon_sides" in raw:
-        _require(isinstance(raw["polygon_sides"], int) and raw["polygon_sides"] >= 3,
-                 "polygon_sides", "must be an integer >= 3")
-        cfg.polygon_sides = raw["polygon_sides"]
+        cfg.polygon_sides = _integer(raw["polygon_sides"], "polygon_sides", 3)
     return cfg

@@ -22,10 +22,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -136,33 +133,8 @@ def _grid_mesh(grid: GridSpec):
     return np.ix_(*(grid.axis_points(i) for i in range(grid.deltas.size)))
 
 
-def _grid_chunks(grid: GridSpec, chunk_rows):
-    """The open mesh in C order, ``block`` whole slabs at a time (as many as
-    fit in ``chunk_rows`` points, and at least one): the slowest axis's
-    values of the block as a (block, 1, ...) column, and each other axis
-    whole along its own dimension; a slab is one head value x the tail."""
-    head, *tail = _grid_mesh(grid)
-    block = max(1, chunk_rows // math.prod(a.size for a in tail))
-    for k in range(0, head.size, block):
-        yield (head[k:k + block], *tail)
-
-
-def _bounded_map(pool, fn, items, depth):
-    """``pool.map(fn, items)``, in order, that draws the next item only once a
-    result is taken, so at most ``depth`` items are held at a time
-    (``Executor.map`` draws them all up front)."""
-    items = iter(items)
-    pending = deque(pool.submit(fn, x) for x in islice(items, depth))
-    while pending:
-        result = pending.popleft().result()
-        pending.extend(pool.submit(fn, x) for x in islice(items, 1))
-        yield result
-
-
 def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
-                           gamma_phi, threads: int = 1,
-                           point_budget: int = GRID_POINT_BUDGET,
-                           chunk_rows: int = 25_000) -> ErrorCertificate:
+                           gamma_phi, chunk_rows: int = 25_000) -> ErrorCertificate:
     """Grid-max error with Lipschitz padding.
 
     ``phi`` is called coordinate-wise, ``phi(x_1, ..., x_n_in)``, on an open
@@ -170,26 +142,26 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     a factor that depends on few coordinates runs on few values. It returns
     the broadcast mesh shape (one output) or that shape + (n_out,); any
     other shape raises ``ValueError``. gamma_eps = gamma_phi + gamma_nn via
-    the triangle inequality.
+    the triangle inequality. A grid of more than ``GRID_POINT_BUDGET`` points
+    raises ``GridBudgetExceeded``.
 
-    The grid is a tensor product, walked in C order one slab at a time: a
-    slab is one value of the slowest axis times the full tail grid of the
-    other axes. No grid point is formed. The surrogate's first layer is
-    summed per axis: the tail's term ``tail @ W1[:, 1:].T + b1`` is formed
-    once per certificate, and each slab adds its head's ``head * W1[:, 0]``
-    to it before the ReLU and the output layer (the forward pass up to the
-    order of the first layer's sum). The argmax is read back from its index
-    on the axes.
-
-    Chunks hold as many whole slabs as fit in ``chunk_rows`` points (at least
-    one), so their temporaries stay near cache size; ``threads`` workers
-    take chunks of ``chunk_rows // threads``, at most ``threads`` at a time,
-    so the points held do not grow with them.
+    The grid is a tensor product, walked in C order one chunk at a time on
+    one thread: a chunk is as many whole slabs as fit in ``chunk_rows``
+    points (at least one), a slab one value of the slowest axis times the
+    full tail grid of the other axes. No grid point is formed. The
+    surrogate's first layer is summed per axis: the tail's term
+    ``tail @ W1[:, 1:].T + b1`` is formed once per certificate, and each
+    chunk adds its head's ``head * W1[:, 0]`` to it before the ReLU and the
+    output layer (the forward pass up to the order of the first layer's
+    sum). The pre-activation and error buffers are allocated once, for a
+    full chunk, and each chunk writes into their leading part, so they stay
+    near cache size and no chunk allocates them anew. The argmax is read back
+    from its index on the axes.
     """
     total = grid.num_points
-    if total > point_budget:
+    if total > GRID_POINT_BUDGET:
         raise GridBudgetExceeded(
-            f"grid has {total} points, over the budget of {point_budget}; "
+            f"grid has {total} points, over the budget of {GRID_POINT_BUDGET}; "
             "choose coarser steps")
     n_out = d.pieces[0].F.shape[0]
     gamma_phi = np.broadcast_to(np.atleast_1d(np.asarray(gamma_phi, dtype=float)),
@@ -197,15 +169,22 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
     gamma_eps = gamma_phi + pwa_lipschitz(d)
 
     t0 = time.perf_counter()
-    _, *tail = _grid_mesh(grid)
+    head, *tail = _grid_mesh(grid)
     tail_pts = (np.stack(np.broadcast_arrays(*tail), axis=-1).reshape(-1, len(tail))
                 if tail else np.zeros((1, 0)))
     # pre-activations stored unit-major, (n1, points): every sweep below runs
     # along the points
     tail_pre = np.ascontiguousarray((tail_pts @ net.W1[:, 1:].T + net.b1).T)
     w_head = net.W1[:, 0]
+    n1, slab = tail_pre.shape
+    block = max(1, chunk_rows // slab)
+    pre_buf = np.empty(n1 * block * slab)
+    err_buf = np.empty(n_out * block * slab)
 
-    def eval_chunk(mesh):
+    best = np.zeros(n_out)
+    arg = None
+    for k in range(0, head.size, block):
+        mesh = (head[k:k + block], *tail)
         shape = np.broadcast_shapes(*(a.shape for a in mesh))
         n = math.prod(shape)
         tr = np.asarray(phi(*mesh), dtype=float)
@@ -214,29 +193,21 @@ def grid_error_certificate(phi, d: PwaDecomposition, net, grid: GridSpec,
         if tr.shape != shape + (n_out,):
             raise ValueError(f"phi returned shape {tr.shape} on a mesh of shape "
                              f"{shape}; expected {shape} or {shape + (n_out,)}")
-        head_pre = np.multiply.outer(w_head, mesh[0].ravel())
-        pre = (head_pre[:, :, None] + tail_pre[:, None, :]).reshape(w_head.size, n)
+        pre = pre_buf[:n1 * n].reshape(n1, shape[0], slab)
+        np.add(np.multiply.outer(w_head, mesh[0].ravel())[:, :, None],
+               tail_pre[:, None, :], out=pre)
+        pre = pre.reshape(n1, n)
         np.maximum(pre, 0.0, out=pre)
-        err = net.W2 @ pre
+        err = err_buf[:n_out * n].reshape(n_out, n)
+        np.matmul(net.W2, pre, out=err)
         err += net.b2[:, None]
         np.subtract(tr.reshape(n, n_out).T, err, out=err)
         np.abs(err, out=err)
         m = err.max(axis=1)
-        j = int(err.max(axis=0).argmax())   # first point holding the chunk's max
-        at = np.unravel_index(j, shape)
-        return m, np.array([a.ravel()[i] for a, i in zip(mesh, at)])
-
-    best = np.zeros(n_out)
-    arg = None
-    chunks = _grid_chunks(grid, max(1, chunk_rows // threads))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(_bounded_map(pool, eval_chunk, chunks, threads))
-    else:
-        results = [eval_chunk(mesh) for mesh in chunks]
-    for m, pt in results:
         if arg is None or m.max() > best.max():
-            arg = pt
+            j = int(err.max(axis=0).argmax())   # first point holding the chunk's max
+            at = np.unravel_index(j, shape)
+            arg = np.array([a.ravel()[i] for a, i in zip(mesh, at)])
         best = np.maximum(best, m)
     wall = time.perf_counter() - t0
     return ErrorCertificate(eps_tilde=best, gamma_eps=gamma_eps,

@@ -144,7 +144,7 @@ def certification_problem(pipe: Pipeline):
     return (lambda pts: phi(*pts.T), *rest)
 
 
-def run_certification(pipe: Pipeline, threads: int = 1):
+def run_certification(pipe: Pipeline):
     phi, net, (lo, hi), gamma, cells = _coordinate_problem(pipe)
     deltas = pipe.cfg.grid_deltas
     if deltas is None:
@@ -153,7 +153,7 @@ def run_certification(pipe: Pipeline, threads: int = 1):
         raise ConfigError(f"grid.deltas: expected 1 or {lo.size} entries (one per "
                           f"certified input), got {deltas.size}")
     grid = GridSpec(deltas=np.broadcast_to(deltas, lo.shape), lower=lo, upper=hi)
-    return grid_error_certificate(phi, cells, net, grid, gamma, threads=threads)
+    return grid_error_certificate(phi, cells, net, grid, gamma)
 
 
 def run_taylor_table(pipe: Pipeline):

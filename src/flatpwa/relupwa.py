@@ -186,8 +186,7 @@ def _forced_signs(net: ReluNetwork, workspace: HPolytope):
     return forced
 
 
-def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
-                    width_guard: int = ENUMERATION_WIDTH_GUARD) -> PwaDecomposition:
+def enumerate_cells(net: ReluNetwork, workspace: HPolytope) -> PwaDecomposition:
     """Exhaustive cell enumeration over all 2^n1 activation patterns.
 
     ``workspace`` is a box (``HPolytope.box``); any other polytope raises
@@ -196,10 +195,10 @@ def enumerate_cells(net: ReluNetwork, workspace: HPolytope,
     which prunes the 2^n1 loop without giving up exactness; every surviving
     candidate is still certified non-empty by `is_empty`.
     """
-    if net.n1 > width_guard:
+    if net.n1 > ENUMERATION_WIDTH_GUARD:
         raise ValueError(
             f"hidden width {net.n1} exceeds the 2^n1 enumeration guard "
-            f"({width_guard}); shrink the network or raise the guard")
+            f"({ENUMERATION_WIDTH_GUARD}); shrink the network")
     if workspace.dim != net.n0:
         raise ValueError("workspace dimension must equal the network input size")
     forced = _forced_signs(net, workspace)

@@ -67,6 +67,35 @@ def test_non_numeric_config_value_exit_code(tmp_path, capsys, field, text):
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, text", [
+    ("tuning.N_p", "tuning:\n  N_p: true\n"),
+    ("tuning.N_p", "tuning:\n  N_p: 0\n"),
+    ("budgets.max_nodes", "budgets:\n  max_nodes: true\n"),
+    ("budgets.max_nodes", "budgets:\n  max_nodes: -1\n"),
+    ("budgets.fallback_max_nodes", "budgets:\n  fallback_max_nodes: false\n"),
+    ("budgets.fallback_max_nodes", "budgets:\n  fallback_max_nodes: -5\n"),
+    ("polygon_sides", "polygon_sides: true\n"),
+    ("polygon_sides", "polygon_sides: 2\n"),
+], ids=["N_p-bool", "N_p-zero", "max_nodes-bool", "max_nodes-negative",
+        "fallback_max_nodes-bool", "fallback_max_nodes-negative",
+        "polygon_sides-bool", "polygon_sides-two"])
+def test_integer_config_field_exit_code(tmp_path, capsys, field, text):
+    # YAML's true/false are Python ints, and a negative fallback budget once
+    # passed: both are configuration errors with the field's path
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("plant: uav\n" + text)
+    assert run(["simulate", "--config", bad, "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+def test_missing_config_flag_exit_code(tmp_path, capsys):
+    # argparse's own exit code 2 would read as "infeasible controller"
+    assert run(["simulate", "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "--config" in err and "Traceback" not in err
+
+
 def _edited(tmp_path, scenario, edits):
     """A shipped scenario with ``edits`` applied: {"section.key": value},
     where a value of None deletes the key."""
@@ -110,10 +139,12 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
                                   "workspace.upper": [1.0, 1.0, 1.0]}, [], "workspace"),
     ("simulate", "aircraft_mpc", {}, ["--budget-ms", "-1"], "--budget-ms"),
     ("simulate", "aircraft_mpc", {}, ["--budget-ms", "nan"], "--budget-ms"),
+    ("simulate", "aircraft_mpc", {}, ["--budget-ms", "abc"], "--budget-ms"),
     ("certify", "uav_tracking", {"grid.deltas": [0.5, 0.5]}, ["--threads", "0"],
      "--threads"),
     ("certify", "uav_tracking", {"grid.deltas": [0.5, 0.5]}, ["--threads", "-3"],
      "--threads"),
+    ("solve", "aircraft_mpc", {}, [], "argument command"),
     ("simulate", "aircraft_mpc", {"simulation.substep": 0.03}, [],
      "simulation.substep"),
     ("simulate", "aircraft_mpc", {"simulation.substep": 0.25}, [],
@@ -137,7 +168,8 @@ ASYMMETRIC_P = [[0.1430, 0.1932], [0.0, 0.6378]]
         "clf-K-shape", "clf-P-asymmetric", "verify-clf-P-asymmetric", "clf-P-zero",
         "clf-P-indefinite", "mpc-Q-shape", "mpc-Q-asymmetric", "mpc-R-shape",
         "mpc-x0-length", "clf-x0-length", "workspace-dimension", "budget-ms-negative",
-        "budget-ms-nan", "threads-zero", "threads-negative", "substep-not-dividing",
+        "budget-ms-nan", "budget-ms-not-a-number", "removed-threads-zero",
+        "removed-threads-negative", "unknown-command", "substep-not-dividing",
         "substep-above-period", "period-not-divided", "duration-fractional",
         "duration-below-period", "u-max-longer-than-outputs",
         "u-min-longer-than-outputs", "uav-u-max-per-input", "taylor-u-max-length",
@@ -239,22 +271,6 @@ def test_certify_reports_taylor_table(tmp_path):
     assert report["grid_certificate"]["grid_points"] > 0
     assert len(report["taylor_cells"]) == 3
     assert report["lipschitz"]["gamma_phi"] == pytest.approx(29.42, abs=0.05)
-
-
-def test_certify_threads_match_serial(tmp_path):
-    # the pool evaluates the serial run's chunks and merges them in order
-    cfg = _edited(tmp_path, "uav_tracking", {"grid.deltas": [0.5, 0.5]})
-    certs = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
-        assert run(["certify", "--config", cfg, "--out", out,
-                    "--threads", threads]) == 0
-        certs.append(json.loads((out / "certificate.json").read_text())
-                     ["grid_certificate"])
-    serial, pooled = certs
-    assert serial["grid_points"] == pooled["grid_points"] > 0
-    assert pooled["eps_bar"] == serial["eps_bar"]
-    assert pooled["argmax"] == serial["argmax"]
 
 
 def test_certify_budget_exit_code(tmp_path):

@@ -1,5 +1,4 @@
 import re
-import time
 from pathlib import Path
 
 import numpy as np
@@ -116,48 +115,11 @@ def test_certificate_argmax_owns_its_data(aircraft_net, aircraft_cells):
     assert err == pytest.approx(cert.eps_tilde[0], rel=1e-12)
 
 
-def test_certificate_threads_match_serial_over_chunks(aircraft_net, aircraft_cells):
-    # many chunks: the pool's results must merge in the serial run's order
-    g = GridSpec.symmetric([0.02, 0.1], [PARAMS.phi_bar, PARAMS.v_bar])
-    serial, pooled = (grid_error_certificate(aircraft_true, aircraft_cells,
-                                             aircraft_net, g, 30.0, threads=threads,
-                                             chunk_rows=100)
-                      for threads in (1, 2))
-    assert pooled.eps_bar.tobytes() == serial.eps_bar.tobytes()
-    assert pooled.argmax.tobytes() == serial.argmax.tobytes()
-
-
-def test_certificate_threads_hold_at_most_threads_chunks(monkeypatch, aircraft_net,
-                                                        aircraft_cells):
-    # a chunk is drawn only once an earlier one's result is taken, so the
-    # pool never holds more than ``threads`` chunks of the grid
-    grid_chunks = errorbounds._grid_chunks
-    evaluated, held = [], []
-
-    def counted_chunks(grid, chunk_rows):
-        for k, mesh in enumerate(grid_chunks(grid, chunk_rows)):
-            held.append(k + 1 - len(evaluated))
-            yield mesh
-
-    def slow_true(z1, v):
-        time.sleep(0.002)
-        out = aircraft_true(z1, v)
-        evaluated.append(1)
-        return out
-
-    monkeypatch.setattr(errorbounds, "_grid_chunks", counted_chunks)
-    g = GridSpec.symmetric([0.02, 0.1], [PARAMS.phi_bar, PARAMS.v_bar])
-    grid_error_certificate(slow_true, aircraft_cells, aircraft_net, g, 30.0,
-                           threads=2, chunk_rows=100)
-    assert len(held) == len(evaluated) > 10
-    assert max(held) <= 2
-
-
-def _random_problem(dim, seed, n1=6):
-    """A seeded one-hidden-layer net, its cells, a smooth true map and a
-    grid whose box bounds are not multiples of the steps."""
+def _random_problem(dim, seed, n_out=2, n1=6):
+    """A seeded one-hidden-layer net with ``n_out`` outputs, its cells, a
+    smooth true map and a grid whose box bounds are not multiples of the
+    steps."""
     rng = np.random.default_rng(seed)
-    n_out = 1 if dim == 1 else 2
     net = ReluNetwork(W1=rng.standard_normal((n1, dim)),
                       b1=0.5 * rng.standard_normal(n1),
                       W2=rng.standard_normal((n_out, n1)),
@@ -175,24 +137,29 @@ def _random_problem(dim, seed, n1=6):
     return net, cells, grid, true_map
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n_out", [1, 2])
 @pytest.mark.parametrize("slabs_per_chunk", ["one", "many"])
 @pytest.mark.parametrize("dim", [1, 2, 3])
-def test_certificate_matches_brute_force_forward(dim, slabs_per_chunk, threads):
+def test_certificate_matches_brute_force_forward(dim, slabs_per_chunk, n_out):
     # the per-axis first layer against the plain forward pass over the same
     # points: a chunk of ``chunk_rows`` below the slab holds one slab, one of
-    # several slabs holds many
-    net, cells, grid, true_map = _random_problem(dim, seed=10 + dim)
+    # several slabs holds three or more, and the last of those holds fewer,
+    # so it reads a shorter prefix of the shared buffers than those before it
+    net, cells, grid, true_map = _random_problem(dim, seed=10 + dim, n_out=n_out)
     axes = [grid.axis_points(i) for i in range(dim)]
     slab = int(np.prod([a.size for a in axes[1:]]))
-    chunk_rows = threads * (max(1, slab // 2) if slabs_per_chunk == "one"
-                            else 3 * slab + 1)
+    if slabs_per_chunk == "one":
+        chunk_rows = max(1, slab // 2)
+    else:
+        per_chunk = next(k for k in range(3, axes[0].size) if axes[0].size % k)
+        chunk_rows = per_chunk * slab + 1
     cert = grid_error_certificate(true_map, cells, net, grid, 1.0,
-                                  threads=threads, chunk_rows=chunk_rows)
+                                  chunk_rows=chunk_rows)
 
     pts = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
     err = np.abs(true_map(*pts.T).reshape(len(pts), -1) - forward(net, pts))
     assert cert.grid_points == len(pts) > 100
+    assert cert.eps_tilde.shape == (n_out,)
     np.testing.assert_allclose(cert.eps_tilde, err.max(axis=0), rtol=1e-12, atol=0)
     np.testing.assert_array_equal(cert.argmax, pts[np.argmax(err.max(axis=1))])
 
