@@ -14,6 +14,7 @@ import yaml
 
 VALID_PLANTS = ("aircraft", "uav", "pmsm")
 VALID_CONTROLLERS = ("clf", "mpc", "flmpc")
+REFERENCE_TYPES = {"pmsm": "equilibrium", "uav": "turn"}   # the aircraft has none
 
 
 class ConfigError(ValueError):
@@ -26,6 +27,9 @@ def _require(cond, path, msg):
 
 
 def _number(raw, path):
+    """A finite number; ``true``/``false`` are not numbers here, though
+    ``float(True)`` is 1.0."""
+    _require(not isinstance(raw, bool), path, f"expected a number, got {raw!r}")
     try:
         value = float(raw)
     except (TypeError, ValueError):
@@ -173,8 +177,9 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
         _require(cfg.gamma > 0, "tuning.gamma", "must be positive")
     if "big_m" in tun:
         bm = tun["big_m"]
-        _require(bm == "exact" or (isinstance(bm, (int, float)) and bm > 0),
-                 "tuning.big_m", "must be 'exact' or a positive number")
+        _require(bm == "exact" or (isinstance(bm, (int, float))
+                                   and not isinstance(bm, bool) and 0 < bm < np.inf),
+                 "tuning.big_m", "must be 'exact' or a finite positive number")
         cfg.big_m = bm
 
     sim = raw.get("simulation", {})
@@ -199,6 +204,11 @@ def parse_scenario(raw: dict, base_dir=Path(".")) -> ScenarioConfig:
 
     cfg.reference = raw.get("reference", {}) or {}
     _require(isinstance(cfg.reference, dict), "reference", "must be a mapping")
+    if "type" in cfg.reference:
+        kind = REFERENCE_TYPES.get(plant)
+        _require(kind is not None, "reference.type", f"plant {plant} takes no reference")
+        _require(cfg.reference["type"] == kind, "reference.type",
+                 f"must be '{kind}' for plant {plant}, got {cfg.reference['type']!r}")
     for key in ("radius", "speed", "start_deg", "end_deg"):
         if key in cfg.reference:
             cfg.reference[key] = _number(cfg.reference[key], f"reference.{key}")

@@ -56,13 +56,11 @@ class MpcSpec:
     Q: np.ndarray
     R: np.ndarray
     N_p: int
-    T_s: float
     A_d: np.ndarray
     B_d: np.ndarray
     state_rows: HPolytope | None = None
     input_rows: HPolytope | None = None
     input_map: np.ndarray | None = None
-    terminal_weight: np.ndarray | None = None
     budget: SolveBudget = field(default_factory=SolveBudget)
     # used when the primary budget produces no feasible point (bad cell hint)
     fallback_budget: SolveBudget | None = None
@@ -72,8 +70,6 @@ class MpcSpec:
         self.R = np.atleast_2d(np.asarray(self.R, dtype=float))
         if self.N_p < 1:
             raise ValueError("N_p must be >= 1")
-        if self.T_s <= 0:
-            raise ValueError("T_s must be positive")
         for M, name in ((self.Q, "Q"), (self.R, "R")):
             if np.abs(M - M.T).max() > DEFAULT.sym * max(1.0, np.abs(M).max()):
                 raise ValueError(f"{name} must be symmetric")
@@ -294,8 +290,7 @@ def mpc_structure(spec: MpcSpec, U: AdmissibleUnion | None,
     return horizon_structure(U, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
                              big_m, state_rows=spec.state_rows,
                              input_map=None if U is None else spec.input_map,
-                             input_rows=spec.input_rows,
-                             terminal_weight=spec.terminal_weight)
+                             input_rows=spec.input_rows)
 
 
 def mpc_step(spec: MpcSpec, structure: HorizonStructure, z0,

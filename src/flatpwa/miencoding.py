@@ -313,10 +313,14 @@ class HorizonStructure:
     template: MiqpModel
     Q: np.ndarray
     R: np.ndarray
-    P: np.ndarray | None      # terminal weight
 
     def instantiate(self, z0, z_ref=None, v_ref=None) -> MiqpModel:
-        """The model of one sample: a fresh g, c0 and d, the rest shared."""
+        """The model of one sample: a fresh g, c0 and d, the rest shared.
+
+        The steps' terms are stacked products, one small product per step,
+        so each rounds as that step's own ``-2 Q z_ref_i`` and
+        ``z_ref_i' Q z_ref_i`` would (a single matrix product over all steps
+        rounds differently), and c0 sums them in step order."""
         t = self.template
         n_z, m, N_p = t.meta["n_z"], t.meta["m"], t.meta["N_p"]
         z0 = np.asarray(z0, dtype=float)
@@ -332,18 +336,14 @@ class HorizonStructure:
                 raise ValueError("v_ref horizon shorter than N_p")
         Q, R = self.Q, self.R
         n_states = n_z * (N_p + 1)
+        zr = np.zeros((N_p, n_z)) if z_ref is None else z_ref[:N_p]
+        vr = np.zeros((N_p, m)) if v_ref is None else v_ref[:N_p]
         g = np.zeros(t.n)
-        c0 = 0.0
-        for i in range(N_p):
-            zr = np.zeros(n_z) if z_ref is None else z_ref[i]
-            vr = np.zeros(m) if v_ref is None else v_ref[i]
-            g[i * n_z:(i + 1) * n_z] += -2.0 * Q @ zr
-            g[n_states + i * m:n_states + (i + 1) * m] += -2.0 * R @ vr
-            c0 += float(zr @ Q @ zr + vr @ R @ vr)
-        if self.P is not None:
-            zr = np.zeros(n_z) if z_ref is None else z_ref[min(N_p, z_ref.shape[0] - 1)]
-            g[N_p * n_z:n_states] += -2.0 * self.P @ zr
-            c0 += float(zr @ self.P @ zr)
+        # added to zeros, so that a product of -0.0 is stored as 0.0
+        g[:N_p * n_z] += np.matmul(-2.0 * Q, zr[:, :, None]).ravel()
+        g[n_states:n_states + N_p * m] += np.matmul(-2.0 * R, vr[:, :, None]).ravel()
+        stage = zr[:, None] @ Q @ zr[:, :, None] + vr[:, None] @ R @ vr[:, :, None]
+        c0 = float(np.cumsum(stage)[-1])
         d = t.d.copy()
         d[:n_z] = z0
         return replace(t, g=g, c0=c0, d=d, meta=dict(t.meta))
@@ -352,8 +352,7 @@ class HorizonStructure:
 def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
                       big_m: BigMData | None = None,
                       state_rows: HPolytope | None = None, input_map=None,
-                      input_rows: HPolytope | None = None,
-                      terminal_weight=None) -> HorizonStructure:
+                      input_rows: HPolytope | None = None) -> HorizonStructure:
     """The sample-independent part of ``encode_horizon``'s MIQP, by block
     assembly: the same blocks repeat at every step, shifted by the step's
     columns."""
@@ -383,11 +382,6 @@ def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
     H = np.zeros((n, n))
     H[zc[:, :, None], zc[:, None, :]] += 2.0 * Q
     H[vc[:, :, None], vc[:, None, :]] += 2.0 * R
-    P = None
-    if terminal_weight is not None:
-        P = np.array(terminal_weight, dtype=float, ndmin=2)
-        zN = np.arange(N_p * n_z, n_states)
-        H[np.ix_(zN, zN)] += 2.0 * P
 
     # z_0 = z0 and z_{i+1} - A_d z_i - B_d v_i = 0, then one cardinality
     # row per step
@@ -401,8 +395,10 @@ def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
         E[n_states + np.arange(N_p)[:, None], bc] = 1.0
         d[n_states:] = float(n_cells - 1)
 
-    # per step: union rows, state rows on z_i, input rows on v_i; then the
-    # box rows 0 <= beta <= 1 (integrality is the solver's concern)
+    # per step: union rows, state rows on z_i, input rows on v_i; then one
+    # box row beta <= 1 per binary (integrality is the solver's concern).
+    # beta >= 0 needs no row: a step's cardinality row sum(beta) = |A| - 1
+    # with every beta <= 1 leaves each beta at least 0
     parts = []                       # (rows, their columns at each step, rhs)
     if use_cells:
         rows, rhs = step_rows(U, big_m, input_map, n_z + m)
@@ -412,7 +408,7 @@ def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
     if input_rows is not None:
         parts.append((input_rows.A, vc, input_rows.b))
     block = sum(rows.shape[0] for rows, _, _ in parts)
-    G = np.zeros((N_p * block + 2 * n_bin, n))
+    G = np.zeros((N_p * block + n_bin, n))
     steps = G[:N_p * block].reshape(N_p, block, n)
     first = 0
     for rows, cols, _ in parts:
@@ -420,39 +416,36 @@ def horizon_structure(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R,
         steps[np.arange(N_p)[:, None, None], at[None, :, None], cols[:, None, :]] = rows
         first += rows.shape[0]
     k = np.arange(n_bin)
-    G[N_p * block + 2 * k, n_cont + k] = 1.0
-    G[N_p * block + 2 * k + 1, n_cont + k] = -1.0
+    G[N_p * block + k, n_cont + k] = 1.0
     h_step = np.concatenate([b for _, _, b in parts]) if parts else np.zeros(0)
-    h = np.concatenate([np.tile(h_step, N_p), np.tile([1.0, 0.0], n_bin)])
+    h = np.concatenate([np.tile(h_step, N_p), np.ones(n_bin)])
 
     g = np.zeros(n)
-    _frozen(H, G, h, E, d, g, Q, R, *(() if P is None else (P,)))
+    _frozen(H, G, h, E, d, g, Q, R)
     template = MiqpModel(
         H=H, g=g, c0=0.0, G=G, h=h, E=E, d=d, n_cont=n_cont, n_bin=n_bin,
         binary_groups=bc.tolist() if use_bin else [],
         meta={"n_z": n_z, "m": m, "N_p": N_p, "num_cells": n_cells})
-    return HorizonStructure(template=template, Q=Q, R=R, P=P)
+    return HorizonStructure(template=template, Q=Q, R=R)
 
 
 def encode_horizon(U: AdmissibleUnion | None, N_p: int, A_d, B_d, Q, R, z0,
                    big_m: BigMData | None = None,
                    state_rows: HPolytope | None = None,
                    input_map=None, z_ref=None, v_ref=None,
-                   input_rows: HPolytope | None = None,
-                   terminal_weight=None) -> MiqpModel:
+                   input_rows: HPolytope | None = None) -> MiqpModel:
     """Receding-horizon MIQP.
 
     Cost sum_{i=0}^{N_p-1} ||z_i - z_ref_i||_Q^2 + ||v_i - v_ref_i||_R^2 with
-    stage indices as printed (no terminal term unless ``terminal_weight`` is
-    supplied), dynamics equalities, per-step admissible-union big-M groups,
-    optional hard state rows on z_i and optional convex rows on v_i.
+    stage indices as printed (no terminal term), dynamics equalities,
+    per-step admissible-union big-M groups, optional hard state rows on z_i
+    and optional convex rows on v_i.
     ``U=None`` omits the union entirely (the plain-QP base used by FL-MPC).
     A controller builds the structure once (``horizon_structure``) and
     instantiates it per sample; this does both for a single sample.
     """
     return horizon_structure(U, N_p, A_d, B_d, Q, R, big_m, state_rows=state_rows,
-                             input_map=input_map, input_rows=input_rows,
-                             terminal_weight=terminal_weight
+                             input_map=input_map, input_rows=input_rows
                              ).instantiate(z0, z_ref, v_ref)
 
 
@@ -469,12 +462,11 @@ def encode_point(U: AdmissibleUnion, z, big_m: BigMData, input_map, n_z: int,
     rows, rhs = step_rows(U, big_m, input_map, n_z + m)
     n_bin = len(U) if len(U) > 1 else 0
     n = m + n_bin
-    G = np.zeros((rhs.size + 2 * n_bin, n))
+    G = np.zeros((rhs.size + n_bin, n))
     G[:rhs.size] = rows[:, n_z:]
-    k = np.arange(n_bin)
-    G[rhs.size + 2 * k, m + k] = 1.0
-    G[rhs.size + 2 * k + 1, m + k] = -1.0
-    h = np.concatenate([rhs, np.tile([1.0, 0.0], n_bin)])
+    # beta <= 1; the cardinality row implies beta >= 0
+    G[rhs.size:, m:] = np.eye(n_bin)
+    h = np.concatenate([rhs, np.ones(n_bin)])
     h[:rhs.size] -= np.ascontiguousarray(rows[:, :n_z]) @ np.asarray(z, dtype=float)
     E = np.zeros((1 if n_bin else 0, n))
     E[:, m:] = 1.0

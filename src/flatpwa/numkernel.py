@@ -334,10 +334,11 @@ class _DualActiveSet:
     Rows enter at unit norm. With J J' = Z (Z'Hr Z)^-1 Z', the
     equality-constrained minimiser moves along -J J'a when row a pushes on
     it, so step and multiplier updates are least squares on the columns J'a
-    of the working rows (kept as a thin QR, QB RB, held through RB^-1), and
-    linear dependence is a least-squares residual on their Euclidean
-    projections Z'a (kept as an orthonormal basis QY). Both factors grow by
-    one Gram-Schmidt column when a row enters and are refactored when rows
+    of the working rows, kept as a thin QR, QB RB, held through RB^-1. The
+    residual z of J'a off QB is the step direction, and, as Goldfarb and
+    Idnani test it, row a is linearly dependent on the working and equality
+    rows when ||z|| <= ``DEFAULT.qp_dependence`` ||J'a||. The factor grows by
+    one Gram-Schmidt column when a row enters and is refactored when rows
     leave. The working set and its multipliers persist across calls with a
     new linear term (proximal passes, warm starts).
     """
@@ -349,32 +350,26 @@ class _DualActiveSet:
         self.cols = {}
         self.work = []
         self.lam = np.zeros(0)
-        self.QY = np.zeros((self.Z.shape[1], 0))
         self.QB = np.zeros((self.J.shape[1], 0))
         self.RBinv = np.zeros((0, 0))
 
     def _row(self, i):
+        """J'a of row i at unit norm a."""
         col = self.cols.get(i)
         if col is None:
-            a = self.G[i] * self.inv[i]
-            col = self.cols[i] = (self.Z.T @ a, self.J.T @ a)
+            col = self.cols[i] = self.J.T @ (self.G[i] * self.inv[i])
         return col
 
-    def _basis(self):
-        Y = np.empty((self.Z.shape[1], len(self.work)))
-        B = np.empty((self.J.shape[1], len(self.work)))
-        for j, i in enumerate(self.work):
-            Y[:, j], B[:, j] = self._row(i)
-        return Y, B
+    def _residual(self, i):
+        """(coefficients on QB, residual z) of row i's column J'a, with z
+        None when row i is dependent."""
+        col = self._row(i)
+        cb, z = _orthogonalize(self.QB, col)
+        if np.linalg.norm(z) <= DEFAULT.qp_dependence * np.linalg.norm(col):
+            return cb, None
+        return cb, z
 
-    def _independent(self, i):
-        """Euclidean residual of row i off the working and equality rows,
-        or None when it is at most ``DEFAULT.qp_dependence`` (dependent)."""
-        resid = _orthogonalize(self.QY, self._row(i)[0])[1]
-        norm = np.linalg.norm(resid)
-        return resid / norm if norm > DEFAULT.qp_dependence else None
-
-    def _add(self, i, y_unit, cb, zb):
+    def _add(self, i, cb, zb):
         k = len(self.work)
         nb = np.linalg.norm(zb)
         Rinv = np.zeros((k + 1, k + 1))     # inverse of [[RB, cb], [0, nb]]
@@ -383,15 +378,15 @@ class _DualActiveSet:
         Rinv[k, k] = 1.0 / nb
         self.RBinv = Rinv
         self.QB = np.column_stack([self.QB, zb / nb])
-        self.QY = np.column_stack([self.QY, y_unit])
         self.work.append(i)
 
     def _keep(self, keep):
         """Shrink the working set to the rows flagged in ``keep``."""
         self.work = [i for i, k in zip(self.work, keep) if k]
         self.lam = self.lam[keep]
-        Y, B = self._basis()
-        self.QY = np.linalg.qr(Y)[0]
+        B = np.empty((self.J.shape[1], len(self.work)))
+        for j, i in enumerate(self.work):
+            B[:, j] = self._row(i)
         self.QB, RB = np.linalg.qr(B)
         self.RBinv = np.linalg.inv(RB)
 
@@ -408,9 +403,10 @@ class _DualActiveSet:
         with negative multipliers until the set is dual feasible for the
         minimiser ``xE``. Returns that point and the drop count."""
         for i in rows:
-            y_unit = None if i in self.work else self._independent(i)
-            if y_unit is not None:
-                self._add(i, y_unit, *_orthogonalize(self.QB, self._row(i)[1]))
+            if i not in self.work:
+                cb, z = self._residual(i)
+                if z is not None:
+                    self._add(i, cb, z)
         drops = 0
         while True:
             self.lam, x = self._stationary(xE)
@@ -435,7 +431,10 @@ class _DualActiveSet:
         first meets another row; or None when the step meets none.
         """
         k = len(self.work)
-        Q, R = np.linalg.qr(self._basis()[0], mode="complete")
+        Y = np.empty((self.Z.shape[1], k))     # the working rows' projections Z'a
+        for j, i in enumerate(self.work):
+            Y[:, j] = self.Z.T @ (self.G[i] * self.inv[i])
+        Q, R = np.linalg.qr(Y, mode="complete")
         N = self.Z @ Q[:, k:]          # null space of E and the working rows
         curv, V = np.linalg.eigh(N.T @ H @ N)
         slope = V.T @ (N.T @ (H @ x + g))
@@ -471,12 +470,11 @@ class _DualActiveSet:
                 if it >= budget:
                     return ITERATION_LIMIT, x, it
                 it += 1
-                y_unit = self._independent(p)
-                cb, z = _orthogonalize(self.QB, self._row(p)[1])
+                cb, z = self._residual(p)
                 c = self.RBinv @ cb
                 # lam_p grows by t, the working multipliers move by -t c and
                 # (unless p is dependent) x by -t J z
-                dependent = y_unit is None
+                dependent = z is None
                 t1 = np.inf if dependent else (G[p] @ x - h[p]) * inv[p] / (z @ z)
                 t2, j = np.inf, -1
                 shrinking = np.flatnonzero(c > 0.0)
@@ -494,7 +492,7 @@ class _DualActiveSet:
                 if max(lam_p, self.lam.max(initial=0.0)) > self.cap:
                     return INFEASIBLE, x, it
                 if t1 <= t2:
-                    self._add(p, y_unit, cb, z)
+                    self._add(p, cb, z)
                     self.lam, x = self._stationary(xE)
                     break
                 keep = np.ones(len(self.work), dtype=bool)

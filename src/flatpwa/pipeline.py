@@ -251,7 +251,7 @@ def build_controller(pipe: Pipeline):
     if cfg.plant == "uav":
         input_rows = uav_mod.accel_polygon(plant.extras["params"],
                                            cfg.polygon_sides)
-    spec = MpcSpec(Q=Q, R=R, N_p=cfg.N_p, T_s=cfg.T_s, A_d=A_d, B_d=B_d,
+    spec = MpcSpec(Q=Q, R=R, N_p=cfg.N_p, A_d=A_d, B_d=B_d,
                    state_rows=plant.state_rows, input_rows=input_rows,
                    input_map=plant.input_map, budget=budget,
                    fallback_budget=fallback)
@@ -281,8 +281,7 @@ def build_controller(pipe: Pipeline):
 
         def ref_cells(k):
             return [ref_cell(k + i) for i in range(cfg.N_p)]
-    elif cfg.plant == "pmsm" and cfg.reference.get("type", "equilibrium") \
-            == "equilibrium":
+    elif cfg.plant == "pmsm":        # the config admits only its equilibrium
         z_eq = plant.equilibrium_z
         v_eq = plant.equilibrium_v
 

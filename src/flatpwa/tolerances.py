@@ -22,8 +22,11 @@ class Tolerances:
     sym: float = 1e-10
     # smallest eigenvalue >= -psd * ||H|| still counts as positive semidefinite
     psd: float = 1e-8
-    # a unit-norm row whose distance to the span of the QP working rows (and
-    # equality rows) is at most this counts as linearly dependent on them
+    # a QP row a counts as linearly dependent on the working and equality
+    # rows when its step direction, the residual of J'a off the working
+    # rows' columns, is at most this times |J'a| (J J' the inverse cost on
+    # the equality null space); singular values of the unit-scaled equality
+    # rows at most this count as zero
     qp_dependence: float = 1e-10
     # a QP multiplier (unit-norm rows) above this times the largest of
     # max(1, |H|), |g| and the proximal weight certifies infeasibility

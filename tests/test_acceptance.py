@@ -40,7 +40,7 @@ def report(criterion, ok, detail):
 
 def paper_mpc_spec(plant, N_p=5, T_s=0.1):
     A_d, B_d = rk4_discretize(plant.A, plant.B, T_s)
-    return MpcSpec(Q=PAPER_Q, R=PAPER_R, N_p=N_p, T_s=T_s, A_d=A_d, B_d=B_d,
+    return MpcSpec(Q=PAPER_Q, R=PAPER_R, N_p=N_p, A_d=A_d, B_d=B_d,
                    state_rows=plant.state_rows, input_map=plant.input_map)
 
 
@@ -307,7 +307,7 @@ def test_c11_performance_envelope(aircraft_union, aircraft_bigm, aircraft_plant,
                             @ np.concatenate([z_ref(k + i), v_ref(k + i)]))
                 for i in range(N_p)]
 
-    uav_spec = MpcSpec(Q=np.eye(4), R=0.1 * np.eye(2), N_p=N_p, T_s=0.1,
+    uav_spec = MpcSpec(Q=np.eye(4), R=0.1 * np.eye(2), N_p=N_p,
                        A_d=A_d, B_d=B_d, state_rows=uav_plant.state_rows,
                        input_rows=uav_mod.accel_polygon(uparams),
                        input_map=uav_plant.input_map,
@@ -325,7 +325,7 @@ def test_c11_performance_envelope(aircraft_union, aircraft_bigm, aircraft_plant,
     bigm_pm = compute_big_m(U_pm, pmsm_plant.net_workspace)
     A_d, B_d = rk4_discretize(pmsm_plant.A, pmsm_plant.B, 0.05)
     pm_spec = MpcSpec(Q=np.diag([100.0, 10.0, 0.01]), R=1e-4 * np.eye(2),
-                      N_p=5, T_s=0.05, A_d=A_d, B_d=B_d,
+                      N_p=5, A_d=A_d, B_d=B_d,
                       state_rows=pmsm_plant.state_rows,
                       input_map=pmsm_plant.input_map,
                       budget=SolveBudget(max_nodes=300, max_ms=2000))

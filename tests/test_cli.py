@@ -89,6 +89,39 @@ def test_integer_config_field_exit_code(tmp_path, capsys, field, text):
     assert field in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, text", [
+    ("tuning.big_m", "tuning:\n  big_m: true\n"),
+    ("tuning.gamma", "tuning:\n  gamma: true\n"),
+    ("tuning.T_s", "tuning:\n  T_s: true\n"),
+    ("budgets.max_ms", "budgets:\n  max_ms: true\n"),
+    ("simulation.duration", "simulation:\n  duration: true\n"),
+    ("tuning.big_m", "tuning:\n  big_m: .inf\n"),
+], ids=["big_m-bool", "gamma-bool", "T_s-bool", "max_ms-bool", "duration-bool",
+        "big_m-inf"])
+def test_number_config_field_exit_code(tmp_path, capsys, field, text):
+    # float(True) is 1.0, so each boolean once read as 1; an infinite big-M
+    # once passed the config and raised on the non-finite rows it made
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("plant: aircraft\n" + text)
+    assert run(["simulate", "--config", bad, "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("scenario, kind", [
+    ("pmsm_case1", "turn"), ("pmsm_case1", "circle"), ("uav_tracking", "equilibrium"),
+    ("aircraft_mpc", "turn"), ("aircraft_mpc", "equilibrium"),
+])
+def test_reference_type_checked_against_the_plant_exit_code(tmp_path, capsys,
+                                                           scenario, kind):
+    # a PMSM scenario with type: turn once parsed, and its MPC then dropped
+    # the reference and regulated to z = 0 instead of the equilibrium
+    path = _edited(tmp_path, scenario, {"reference.type": kind})
+    assert run(["simulate", "--config", path, "--out", tmp_path]) == 4
+    err = capsys.readouterr().err
+    assert "reference.type" in err and "Traceback" not in err
+
+
 def test_missing_config_flag_exit_code(tmp_path, capsys):
     # argparse's own exit code 2 would read as "infeasible controller"
     assert run(["simulate", "--out", tmp_path]) == 4

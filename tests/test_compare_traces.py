@@ -47,7 +47,7 @@ def test_compare_traces_checks_set_up_reports(tmp_path):
     reports = {"cells.json": '{"num_cells": 3}\n', "bigm.json": '{"per_cell": [1.0]}\n',
                "summary.json": '{"mean_solver_ms": 1.0}\n'}
     a = _tree(tmp_path / "a", {"s1": BASE, "s2": BASE}, {"s1": reports})
-    # summary.json holds wall-clock values and is not compared
+    # only a clock field of summary.json moved
     timed = dict(reports, **{"summary.json": '{"mean_solver_ms": 2.0}\n'})
     code, out = _compare(a, _tree(tmp_path / "b", {"s1": BASE, "s2": BASE},
                                   {"s1": timed}))
@@ -84,6 +84,25 @@ def test_compare_traces_checks_the_certificate_field_by_field(tmp_path):
     code, out = _compare(a, _tree(tmp_path / "c", {"s1": BASE}, {"s1": moved}))
     assert code == 1
     assert out == "s1: certificate.json differs in grid_certificate.eps_tilde\n"
+
+
+def test_compare_traces_checks_the_summary_but_its_clock(tmp_path):
+    def summary(**fields):
+        fields = {"steps": 2, "mean_solver_ms": 1.0, "max_solver_ms": 2.0,
+                  "max_nodes": 7, "status_counts": {"optimal": 2}, **fields}
+        return {"summary.json": json.dumps(fields)}
+
+    a = _tree(tmp_path / "a", {"s1": BASE}, {"s1": summary()})
+    code, out = _compare(a, _tree(tmp_path / "b", {"s1": BASE},
+                                  {"s1": summary(mean_solver_ms=3.0, max_solver_ms=9.0)}))
+    assert code == 0 and out == "s1: bit-identical\n"
+    # the branch-and-bound counts are compared, the trace being equal
+    moved = summary(max_nodes=8, status_counts={"optimal": 1, "budget_exceeded": 1},
+                    max_solver_ms=9.0)
+    code, out = _compare(a, _tree(tmp_path / "c", {"s1": BASE}, {"s1": moved}))
+    assert code == 1
+    assert out == ("s1: summary.json differs in max_nodes, status_counts.budget_exceeded, "
+                   "status_counts.optimal\n")
 
 
 WRITER = TOOL.parent / "write_traces.py"

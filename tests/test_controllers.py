@@ -32,7 +32,7 @@ def clf_spec():
 @pytest.fixture(scope="module")
 def mpc_spec(aircraft_plant):
     A_d, B_d = rk4_discretize(aircraft_plant.A, aircraft_plant.B, 0.1)
-    return MpcSpec(Q=[[20.0, 1.0], [1.0, 0.5]], R=[[0.005]], N_p=5, T_s=0.1,
+    return MpcSpec(Q=[[20.0, 1.0], [1.0, 0.5]], R=[[0.005]], N_p=5,
                    A_d=A_d, B_d=B_d, state_rows=aircraft_plant.state_rows,
                    input_map=aircraft_plant.input_map)
 

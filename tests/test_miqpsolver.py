@@ -1,17 +1,22 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from flatpwa import miqpsolver
+from flatpwa.config import load_scenario
 from flatpwa.miencoding import (BigMData, MiqpModel, build_admissible_union,
                                 compute_big_m, encode_horizon)
 from flatpwa.miqpsolver import (BUDGET_EXCEEDED, SolveBudget, _node_problem,
                                 solve_by_cell_enumeration, solve_miqp)
 from flatpwa.numkernel import (INFEASIBLE, ITERATION_LIMIT, OPTIMAL, QpProblem,
                                solve_qp)
+from flatpwa.pipeline import build_controller, build_pipeline
 from flatpwa.polytope import HPolytope
 from flatpwa.relupwa import ReluNetwork, enumerate_cells
-from flatpwa.simulate import rk4_discretize
+from flatpwa.simulate import rk4_discretize, run_closed_loop
+from flatpwa.tolerances import DEFAULT
 
 
 def aircraft_model(union, bigm, plant, N_p, z0):
@@ -230,3 +235,43 @@ def test_near_integral_root_with_worse_feasible_leaf_is_branched():
     assert res.status == OPTIMAL
     assert res.objective == pytest.approx(oracle.objective, abs=1e-6)
     assert res.cell_sequence(m) == [1]
+
+
+SCENARIOS = Path(__file__).parents[1] / "src" / "flatpwa" / "data" / "scenarios"
+
+
+@pytest.mark.parametrize("scenario", ["aircraft_mpc", "pmsm_case1"])
+def test_relaxed_binaries_stay_nonnegative_without_their_rows(scenario):
+    # the horizon carries one box row beta <= 1 per binary and none for
+    # beta >= 0: a step's cardinality row sum(beta) = |A| - 1 implies it.
+    # Over the shipped closed loop, which branches, every node QP keeps its
+    # relaxed binaries at or above -DEFAULT.feas
+    pipe = build_pipeline(load_scenario(SCENARIOS / f"{scenario}.yaml"))
+    ctl, x0, info = build_controller(pipe)
+    spec = info["mpc_spec"]
+    n_z, m = spec.B_d.shape
+    n_cont = n_z * (spec.N_p + 1) + m * spec.N_p
+    relaxed = []
+
+    def spy(prob, **kwargs):
+        res = solve_qp(prob, **kwargs)
+        if res.status == OPTIMAL and prob.n > n_cont:
+            relaxed.append(res.x[n_cont:])
+        return res
+
+    nodes = []
+
+    def counted(z, k):
+        out = ctl(z, k)
+        nodes.append(out[2]["nodes"])
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(miqpsolver, "solve_qp", spy)
+        cfg = pipe.cfg
+        run_closed_loop(pipe.plant, counted, x0, T_sim=cfg.duration, T_s=cfg.T_s,
+                        h=cfg.substep)
+    beta = np.concatenate(relaxed)
+    assert sum(nodes) > 0 and beta.size > 0
+    assert beta.min() >= -DEFAULT.feas
+    assert (beta <= DEFAULT.binary_integrality).any()    # some sit at the bound

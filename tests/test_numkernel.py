@@ -367,17 +367,23 @@ def test_qp_warm_start_from_parent_active_set():
 
 
 def test_qp_dependence_threshold():
-    # Tolerances.qp_dependence: a unit row whose distance to the span of the
-    # working rows is at most this counts as dependent (it would otherwise
-    # enter with a step of 1/distance^2); one just above it is independent
+    # Tolerances.qp_dependence: a row whose step direction, the residual of
+    # its column J'a off the working rows' columns, is at most this times
+    # |J'a| counts as dependent (it would otherwise enter with a step of
+    # 1/|residual|^2); one just above it is independent. The test is
+    # relative, so scaling the cost by 100 leaves every decision in place
     G = np.array([[1.0, 0.0],
                   [1.0, 0.1 * DEFAULT.qp_dependence],
                   [1.0, 10.0 * DEFAULT.qp_dependence]])
-    gi = _DualActiveSet(QpMatrices.of(np.eye(2), G), np.ones(3), DEFAULT.qp_dual_cap)
-    gi.seed([0], np.array([2.0, 0.0]))
-    assert gi.work == [0]
-    assert gi._independent(1) is None
-    assert np.allclose(np.abs(gi._independent(2)), [0.0, 1.0])
+    for scale in (1.0, 100.0):
+        gi = _DualActiveSet(QpMatrices.of(scale * np.eye(2), G), np.ones(3),
+                            DEFAULT.qp_dual_cap)
+        gi.seed([0], np.array([2.0, 0.0]))
+        assert gi.work == [0]
+        assert gi._residual(1)[1] is None
+        z = gi._residual(2)[1]
+        assert np.allclose(np.abs(z) / np.linalg.norm(gi._row(2)),
+                           [0.0, 10.0 * DEFAULT.qp_dependence], rtol=1e-6)
 
 
 def test_eig_identity():

@@ -50,8 +50,7 @@ def _ref_step(U, big_m, zeta_cols, beta_cols, total_vars, input_map):
 
 
 def _ref_horizon(U, N_p, A_d, B_d, Q, R, z0, big_m, state_rows=None,
-                 input_map=None, z_ref=None, v_ref=None, input_rows=None,
-                 terminal_weight=None):
+                 input_map=None, z_ref=None, v_ref=None, input_rows=None):
     n_z, m = B_d.shape
     n_states = n_z * (N_p + 1)
     n_cont = n_states + m * N_p
@@ -77,13 +76,6 @@ def _ref_horizon(U, N_p, A_d, B_d, Q, R, z0, big_m, state_rows=None,
         g[zc] += -2.0 * Q @ zr
         g[vc] += -2.0 * R @ vr
         c0 += float(zr @ Q @ zr + vr @ R @ vr)
-    if terminal_weight is not None:
-        P = terminal_weight
-        zc = z_cols(N_p)
-        zr = np.zeros(n_z) if z_ref is None else z_ref[min(N_p, z_ref.shape[0] - 1)]
-        H[np.ix_(zc, zc)] += 2.0 * P
-        g[zc] += -2.0 * P @ zr
-        c0 += float(zr @ P @ zr)
     row = np.zeros((n_z, n))
     row[:, z_cols(0)] = np.eye(n_z)
     eq_rows, eq_rhs = [row], [z0]
@@ -112,15 +104,12 @@ def _ref_horizon(U, N_p, A_d, B_d, Q, R, z0, big_m, state_rows=None,
                 G_blocks.append(block)
                 h_blocks.append(rows.b)
     if use_bin:
-        box = np.zeros((2 * n_bin, n))
-        box_rhs = np.empty(2 * n_bin)
+        # beta <= 1 only: the cardinality rows imply beta >= 0
+        box = np.zeros((n_bin, n))
         for k in range(n_bin):
-            box[2 * k, n_cont + k] = 1.0
-            box_rhs[2 * k] = 1.0
-            box[2 * k + 1, n_cont + k] = -1.0
-            box_rhs[2 * k + 1] = 0.0
+            box[k, n_cont + k] = 1.0
         G_blocks.append(box)
-        h_blocks.append(box_rhs)
+        h_blocks.append(np.ones(n_bin))
     return dict(H=H, g=g, c0=c0, G=np.vstack(G_blocks), h=np.concatenate(h_blocks),
                 E=np.vstack(eq_rows), d=np.concatenate(eq_rhs))
 
@@ -141,11 +130,10 @@ def _ref_point(U, z, big_m, input_map, n_z, m):
             rows.append(row)
             rhs.append(b_z[r] - const[r])
     for k in range(n_bin):
-        for sign, bound in ((1.0, 1.0), (-1.0, 0.0)):
-            row = np.zeros(n)
-            row[m + k] = sign
-            rows.append(row)
-            rhs.append(bound)
+        row = np.zeros(n)
+        row[m + k] = 1.0
+        rows.append(row)
+        rhs.append(1.0)
     return np.array(rows), np.array(rhs)
 
 
@@ -200,20 +188,18 @@ def test_sample_model_matches_row_by_row_encoder(mpc_setup):
     U, big_m = pipe.ensure_union(), pipe.ensure_big_m()
     n_z, m = spec.B_d.shape
     rng = np.random.default_rng(31)
-    P = np.diag(rng.uniform(0.5, 2.0, size=n_z))
-    cases = [(U, big_m, None), (U, big_m, P), (None, None, None)]
-    for union, bm, terminal in cases:
+    for union, bm in ((U, big_m), (None, None)):
         rows = dict(state_rows=spec.state_rows, input_rows=spec.input_rows,
-                    input_map=None if union is None else spec.input_map,
-                    terminal_weight=terminal)
-        structure = mpc_structure(spec, union, bm) if terminal is None else None
-        for _ in range(3):
+                    input_map=None if union is None else spec.input_map)
+        structure = mpc_structure(spec, union, bm)
+        for k in range(4):
             z0, z_ref, v_ref = _random_refs(rng, spec, n_z, m)
-            if structure is not None:
+            if k < 3:
                 model = structure.instantiate(z0, z_ref, v_ref)
-            else:
+            else:       # the one-shot encoder, without references
+                z_ref = v_ref = None
                 model = encode_horizon(union, spec.N_p, spec.A_d, spec.B_d, spec.Q,
-                                       spec.R, z0, bm, z_ref=z_ref, v_ref=v_ref, **rows)
+                                       spec.R, z0, bm, **rows)
             ref = _ref_horizon(union, spec.N_p, spec.A_d, spec.B_d, spec.Q, spec.R,
                                z0, bm, z_ref=z_ref, v_ref=v_ref, **rows)
             for key in ("H", "g", "G", "h", "E", "d"):

@@ -2,18 +2,19 @@
 
     python tools/compare_traces.py DIR_A DIR_B
 
-Each scenario is a subdirectory holding a ``trace.csv``, as written by
-``flatpwa simulate --config <scenario>.yaml --out DIR/<scenario>`` (pass
-``--budget-ms 1e9`` so that no solve stops on the clock), and optionally the
-set-up reports ``cells.json`` and ``bigm.json`` of ``flatpwa enumerate`` and
-``flatpwa bigm`` and the ``certificate.json`` of ``flatpwa certify``
-(``tools/write_traces.py`` writes all four). For every scenario it prints
-"bit-identical", or the largest |difference| of each column that moved, the
-steps whose ``cell_index`` differs, each set-up report that differs byte for
-byte, the certificate fields whose values differ, and each report that
-exists in one tree only. The wall-clock ``solver_ms`` column, the
-certificate's ``wall_time_s`` and ``summary.json`` (which holds wall-clock
-values) are not compared.
+Each scenario is a subdirectory holding a ``trace.csv`` and optionally a
+``summary.json``, as written by ``flatpwa simulate --config <scenario>.yaml
+--out DIR/<scenario>`` (pass ``--budget-ms 1e9`` so that no solve stops on
+the clock), and optionally the set-up reports ``cells.json`` and
+``bigm.json`` of ``flatpwa enumerate`` and ``flatpwa bigm`` and the
+``certificate.json`` of ``flatpwa certify`` (``tools/write_traces.py``
+writes all five). For every scenario it prints "bit-identical", or the
+largest |difference| of each column that moved, the steps whose
+``cell_index`` differs, each set-up report that differs byte for byte, the
+fields of the summary and the certificate whose values differ, and each
+report that exists in one tree only. The wall clock is not compared: the
+``solver_ms`` column, the summary's ``mean_solver_ms`` and
+``max_solver_ms`` and the certificate's ``wall_time_s``.
 
 Exit status: 0 when every ``cell_index`` column and every report matches, 1
 when one differs or a scenario is missing, has other columns or another
@@ -29,8 +30,9 @@ import sys
 from pathlib import Path
 
 SKIPPED = {"solver_ms"}
-REPORTS = ("cells.json", "bigm.json", "certificate.json")
-CLOCK_FIELDS = {"wall_time_s"}
+REPORTS = ("cells.json", "bigm.json", "certificate.json", "summary.json")
+BY_FIELD = {"summary.json", "certificate.json"}
+CLOCK_FIELDS = {"wall_time_s", "mean_solver_ms", "max_solver_ms"}
 
 
 def _read(path):
@@ -84,7 +86,7 @@ def _moved_fields(path_a, path_b):
 
 def compare_reports(dir_a, dir_b):
     """One line per report that differs or exists in one tree only: the
-    certificate field by field, the others byte for byte."""
+    summary and the certificate field by field, the others byte for byte."""
     lines = []
     for report in REPORTS:
         paths = [d / report for d in (dir_a, dir_b)]
@@ -93,7 +95,7 @@ def compare_reports(dir_a, dir_b):
             continue
         if not all(present):
             lines.append(f"{report} missing in {paths[present.index(False)].parent}")
-        elif report == "certificate.json":
+        elif report in BY_FIELD:
             fields = _moved_fields(*paths)
             if fields:
                 lines.append(f"{report} differs in {', '.join(fields)}")
